@@ -171,7 +171,7 @@ def criterion_05_scaling_identities():
 def criterion_06_monotonicity():
     """20 random ordered pairs at d=2, N=1 satisfy c_p <= c_q + 1e-6."""
     rng = np.random.default_rng(611)
-    opts = PhaseOptions(grid_n=800, numeric_tol=1e-6)
+    opts = PhaseOptions(grid_n=800)
     worst = -np.inf
     for _ in range(20):
         lam_p = rng.uniform(0.7, 1.5, size=2)

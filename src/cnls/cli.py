@@ -17,23 +17,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .functional import action
 from .grid import RadialGrid, write_profiles_csv
-from .params import (
-    ParameterSet,
-    coupling_spread_condition,
-    lambda_cluster_condition,
-    lambda_tail_condition,
-    small_b_bound,
-    validate,
-)
+from .params import ParameterSet, validate
 from .phase import (
+    PREDICATE_NAMES,
     PhaseOptions,
     build_grid,
     classify,
+    evaluate_predicates,
     sweep,
     write_sweep_csv,
 )
@@ -43,6 +36,15 @@ from .solver import SolverOptions, ground_state
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WARNINGS = 2
+
+#: `cnls thresholds` row label and the words for a satisfied / failed
+#: condition, per predicate report.
+_THRESHOLD_ROWS = {
+    "lambda_tail": ("lambda_tail_condition", "admissible", "not admissible"),
+    "lambda_cluster": ("lambda_cluster_condition", "admissible", "not admissible"),
+    "coupling_spread": ("coupling_spread_condition", "holds", "fails"),
+    "small_coupling": ("small_coupling_bound", "below", "not below"),
+}
 
 
 def _config_hash(config):
@@ -169,9 +171,7 @@ def cmd_sweep(config):
     out = _outdir(config)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         write_sweep_csv(points, axes, fh, _meta(config))
-    flagged = sum(
-        1 for pt in points if not pt.verdict.diagnostics["full"]["converged"]
-    )
+    flagged = sum(1 for pt in points if not pt.verdict.diagnostics["solver_converged"])
     print(f"swept {len(points)} points -> sweep.csv ({flagged} flagged)")
     return EXIT_OK if flagged == 0 else EXIT_WARNINGS
 
@@ -194,41 +194,20 @@ def cmd_reduce(config):
 
 
 def cmd_thresholds(config):
-    p = ParameterSet.from_json_dict(config["parameters"])
-    validate(p)
-    rows = []
-    if p.d >= 2:
-        b_const = p.constant_coupling()
-        bound = small_b_bound(p.mu)
-        note = "" if b_const is None else (
-            f" (b={b_const:g}: {'below' if b_const < bound else 'not below'})"
-        )
-        rows.append(("small_coupling_bound", f"{bound:.6g}{note}"))
-    if p.d >= 3:
-        lam_sorted = np.sort(p.lam)
-        tail = lambda_tail_condition(lam_sorted, p.N)
-        rows.append(("alpha_threshold", f"{tail.alpha:.6g}"))
-        rows.append((
-            "lambda_tail_condition",
-            f"ratio={tail.ratio:.6g} -> {'admissible' if tail.admissible else 'not admissible'}",
-        ))
-        cluster = lambda_cluster_condition(p.lam)
-        rows.append((
-            "lambda_cluster_condition",
-            f"alpha={cluster.alpha:.6g} ratio={cluster.ratio:.6g} -> "
-            f"{'admissible' if cluster.admissible else 'not admissible'}",
-        ))
-        try:
-            spread = coupling_spread_condition(p)
-            rows.append((
-                "coupling_spread_condition",
-                f"alpha_gap={spread.alpha_gap:.6g} spread={spread.spread:.6g} -> "
-                f"{'holds' if spread.holds else 'fails'}",
-            ))
-        except ValueError:
-            rows.append(("coupling_spread_condition", "n/a (requires equal lambdas)"))
-    else:
-        rows.append(("alpha_threshold", "n/a (requires d >= 3)"))
+    p = validate(ParameterSet.from_json_dict(config["parameters"]))
+    preds = evaluate_predicates(p)
+    tail = preds["lambda_tail"].info
+    alpha = f"{tail['alpha']:.6g}" if "alpha" in tail else f"n/a ({tail['reason']})"
+    rows = [("alpha_threshold", alpha)]
+    for name in PREDICATE_NAMES:
+        rep = preds[name]
+        label, yes, no = _THRESHOLD_ROWS[name]
+        if rep.applicable:
+            outcome = yes if rep.satisfied else no
+        else:
+            outcome = f"n/a ({rep.info['reason']})"
+        numbers = [f"{k}={v:.6g}" for k, v in rep.info.items() if k != "reason"]
+        rows.append((label, " ".join(numbers + ["->", outcome]) if numbers else outcome))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name.ljust(width)}  {value}")

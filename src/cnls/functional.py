@@ -56,40 +56,51 @@ def _check_dims(u: MultiField, p: ParameterSet):
         raise ValueError(f"dimension mismatch: fields have d={u.d}, parameters d={p.d}")
 
 
+def _coupling_raw(p: ParameterSet, v2):
+    """Row i is sum_{j != i} b_ij v_j^2: one product with the diagonal of b
+    zeroed, since the diagonal is ignored."""
+    b_off = np.array(p.b)
+    np.fill_diagonal(b_off, 0.0)
+    return b_off @ v2
+
+
 def action_parts_raw(grid, values, p: ParameterSet):
     """Return (quadratic, quartic_self, quartic_cross) for a (d, n+1) array."""
-    d = values.shape[0]
     v2 = values * values
+    cross = _coupling_raw(p, v2)
     quad = 0.0
     qself = 0.0
     qcross = 0.0
-    for i in range(d):
+    for i in range(values.shape[0]):
         quad += h1_sq_raw(grid, values[i], float(p.lam[i]))
         qself += float(p.mu[i]) * l4_raw(grid, values[i])
-        for j in range(i + 1, d):
-            qcross += 2.0 * float(p.b[i, j]) * float(
-                np.dot(grid.weights, v2[i] * v2[j])
-            )
+        qcross += float(np.dot(grid.weights, v2[i] * cross[i]))
     return quad, qself, qcross
 
 
 def gradient_raw(grid, values, p: ParameterSet):
     """Weighted-pairing gradient of the action as a (d, n+1) array."""
-    d = values.shape[0]
     v2 = values * values
+    cross = _coupling_raw(p, v2)
     out = np.empty_like(values)
-    for i in range(d):
+    for i in range(values.shape[0]):
         g = neg_lap_plus_raw(grid, values[i], float(p.lam[i]))
         g -= float(p.mu[i]) * values[i] * v2[i]
-        if d > 1:
-            cross = np.zeros_like(values[i])
-            for j in range(d):
-                if j != i:
-                    cross += float(p.b[i, j]) * v2[j]
-            g -= values[i] * cross
+        g -= values[i] * cross[i]
         g[-1] = 0.0
         out[i] = g
     return out
+
+
+def nehari_raw(quad, qself, qcross):
+    """Nehari projection from the action parts: (t, level) with
+    t^2 = quadratic / quartic total and level = quadratic^2 / (4 * quartic
+    total), the action at t*u; None when the field cannot be projected
+    (zero quadratic part or nonpositive quartic total)."""
+    total = qself + qcross
+    if quad <= 0.0 or total <= 0.0:
+        return None
+    return float(np.sqrt(quad / total)), quad * quad / (4.0 * total)
 
 
 def action(u: MultiField, p: ParameterSet) -> ActionBreakdown:
@@ -105,20 +116,24 @@ def action(u: MultiField, p: ParameterSet) -> ActionBreakdown:
     )
 
 
+def _projection(u: MultiField, p: ParameterSet):
+    _check_dims(u, p)
+    quad, qself, qcross = action_parts_raw(u.grid, u.values, p)
+    proj = nehari_raw(quad, qself, qcross)
+    if proj is None:
+        if quad <= 0.0:
+            raise ValueError("cannot project the zero field onto the constraint set")
+        raise ValueError("cannot project: quartic part vanishes")
+    return proj
+
+
 def nehari_scale(u: MultiField, p: ParameterSet):
     """The unique t > 0 with tau(t*u) = 0: t^2 = quadratic / quartic total.
 
     t*u maximizes s -> I(s*u) over s > 0.  Requires u != 0 with positive
     quartic total.
     """
-    _check_dims(u, p)
-    quad, qself, qcross = action_parts_raw(u.grid, u.values, p)
-    total = qself + qcross
-    if quad <= 0.0:
-        raise ValueError("cannot project the zero field onto the constraint set")
-    if total <= 0.0:
-        raise ValueError("cannot project: quartic part vanishes")
-    return float(np.sqrt(quad / total))
+    return _projection(u, p)[0]
 
 
 def action_on_nehari(u: MultiField, p: ParameterSet):
@@ -126,14 +141,7 @@ def action_on_nehari(u: MultiField, p: ParameterSet):
 
     Degree-0 homogeneous in u (same value for c*u, any c > 0).
     """
-    _check_dims(u, p)
-    quad, qself, qcross = action_parts_raw(u.grid, u.values, p)
-    total = qself + qcross
-    if quad <= 0.0:
-        raise ValueError("cannot project the zero field onto the constraint set")
-    if total <= 0.0:
-        raise ValueError("cannot project: quartic part vanishes")
-    return quad * quad / (4.0 * total)
+    return _projection(u, p)[1]
 
 
 def action_gradient(u: MultiField, p: ParameterSet) -> MultiField:

@@ -27,7 +27,6 @@ import numpy as np
 from .functional import action_on_nehari
 from .grid import Field, MultiField, RadialGrid, default_radius
 from .params import (
-    EQUAL_TOL,
     ParameterSet,
     coupling_spread_condition,
     lambda_cluster_condition,
@@ -51,6 +50,10 @@ INCONCLUSIVE = "inconclusive"
 
 PREDICATE_NAMES = ("lambda_tail", "lambda_cluster", "coupling_spread", "small_coupling")
 
+#: Slack in the monotonicity inequality c_p <= c_q, above the solver's level
+#: noise at the default resolution.
+MONOTONICITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PhaseOptions:
@@ -64,8 +67,6 @@ class PhaseOptions:
     grid_R: float = None  # None -> 20/sqrt(min lambda)
     solver: SolverOptions = field(default_factory=SolverOptions)
     margin_tol: float = 1e-4
-    equal_tol: float = EQUAL_TOL
-    numeric_tol: float = 1e-6
     workers: int = 1
     sweep_cap: int = 2000
 
@@ -131,60 +132,55 @@ def build_grid(p: ParameterSet, opts: PhaseOptions) -> RadialGrid:
     return RadialGrid.make(p.N, R, opts.grid_n)
 
 
-def evaluate_predicates(p: ParameterSet, equal_tol=EQUAL_TOL):
-    """Evaluate every closed-form hypothesis that applies to ``p``."""
+def _report(name, numbers, unmet=None, satisfied=False):
+    """Report that applies unless a hypothesis is ``unmet`` (its reason)."""
+    if unmet is not None:
+        return PredicateReport(name, False, False, {**numbers, "reason": unmet})
+    return PredicateReport(name, True, satisfied, numbers)
+
+
+def evaluate_predicates(p: ParameterSet):
+    """Evaluate every closed-form hypothesis for ``p``.
+
+    Each report's ``info`` carries the numbers of its condition wherever they
+    are defined; a report that does not apply adds the ``reason``.
+    """
     out = {}
-    b_const = p.constant_coupling(equal_tol)
-
-    applicable = p.d >= 3 and b_const is not None
-    if applicable:
-        lam_sorted = np.sort(p.lam)
-        rep = lambda_tail_condition(lam_sorted, p.N)
-        out["lambda_tail"] = PredicateReport(
-            "lambda_tail", True, rep.admissible,
-            {"alpha": rep.alpha, "ratio": rep.ratio},
+    b_const = p.constant_coupling()
+    nonconstant = None if b_const is not None else "requires constant coupling"
+    if p.d >= 3:
+        tail = lambda_tail_condition(np.sort(p.lam), p.N)
+        out["lambda_tail"] = _report(
+            "lambda_tail", {"alpha": tail.alpha, "ratio": tail.ratio},
+            nonconstant, tail.admissible,
         )
+        cluster = lambda_cluster_condition(p.lam)
+        out["lambda_cluster"] = _report(
+            "lambda_cluster", {"alpha": cluster.alpha, "ratio": cluster.ratio},
+            nonconstant, cluster.admissible,
+        )
+        if values_all_equal(p.lam):
+            spread = coupling_spread_condition(p)
+            out["coupling_spread"] = _report(
+                "coupling_spread",
+                {"alpha_gap": spread.alpha_gap, "spread": spread.spread},
+                satisfied=spread.holds,
+            )
+        else:
+            out["coupling_spread"] = _report("coupling_spread", {}, "requires equal lambdas")
     else:
-        out["lambda_tail"] = PredicateReport(
-            "lambda_tail", False, False,
-            {"reason": "needs d >= 3 and constant coupling"},
-        )
+        for name in ("lambda_tail", "lambda_cluster", "coupling_spread"):
+            out[name] = _report(name, {}, "requires d >= 3")
 
-    if applicable:
-        rep = lambda_cluster_condition(p.lam)
-        out["lambda_cluster"] = PredicateReport(
-            "lambda_cluster", True, rep.admissible,
-            {"alpha": rep.alpha, "ratio": rep.ratio},
-        )
-    else:
-        out["lambda_cluster"] = PredicateReport(
-            "lambda_cluster", False, False,
-            {"reason": "needs d >= 3 and constant coupling"},
-        )
-
-    if p.d >= 3 and values_all_equal(p.lam, equal_tol):
-        rep = coupling_spread_condition(p, equal_tol)
-        out["coupling_spread"] = PredicateReport(
-            "coupling_spread", True, rep.holds,
-            {"alpha_gap": rep.alpha_gap, "spread": rep.spread},
-        )
-    else:
-        out["coupling_spread"] = PredicateReport(
-            "coupling_spread", False, False,
-            {"reason": "needs d >= 3 and equal lambdas"},
-        )
-
-    if p.d >= 2 and b_const is not None:
+    if p.d >= 2:
         bound = small_b_bound(p.mu)
-        out["small_coupling"] = PredicateReport(
-            "small_coupling", True, b_const < bound,
-            {"bound": bound, "b": b_const},
+        numbers = {"bound": bound} if b_const is None else {"bound": bound, "b": b_const}
+        out["small_coupling"] = _report(
+            "small_coupling", numbers, nonconstant,
+            b_const is not None and b_const < bound,
         )
     else:
-        out["small_coupling"] = PredicateReport(
-            "small_coupling", False, False,
-            {"reason": "needs d >= 2 and constant coupling"},
-        )
+        out["small_coupling"] = _report("small_coupling", {}, "requires d >= 2")
     return out
 
 
@@ -244,7 +240,7 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions()) -> PhaseVerdi
         numeric_semitrivial_level=semi.level,
         margin=margin,
         certificate_held=certificate_held,
-        predicates=evaluate_predicates(p, opts.equal_tol),
+        predicates=evaluate_predicates(p),
         full_support=full.support,
         diagnostics=diagnostics,
     )
@@ -414,7 +410,7 @@ def monotonicity_check(p: ParameterSet, q: ParameterSet,
     )
     c_p = min(res_p.level, seeded.level)
     return MonotonicityReport(
-        c_p=c_p, c_q=res_q.level, consistent=c_p <= res_q.level + opts.numeric_tol
+        c_p=c_p, c_q=res_q.level, consistent=c_p <= res_q.level + MONOTONICITY_TOL
     )
 
 
@@ -449,7 +445,7 @@ def coupling_scaling_identity(p: ParameterSet, u: MultiField = None,
     minimum, so it is checked at a fixed field.
     """
     validate(p)
-    b = p.constant_coupling(opts.equal_tol)
+    b = p.constant_coupling()
     if b is None:
         raise ValueError("coupling scaling identity needs a constant coupling")
     if grid is None:

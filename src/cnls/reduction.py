@@ -167,34 +167,11 @@ def brute_force_sphere_max(mu, b, resolution):
         raise ValueError(f"resolution must be >= 50, got {resolution}")
     coeff = mu - b  # g(Z) = b + sum z_i^2 (mu_i - b) on the simplex
     m = resolution
-    if k == 2:
-        z0 = np.arange(m + 1) / m
-        g = b + coeff[0] * z0**2 + coeff[1] * (1 - z0) ** 2
-        return float(g.max())
-    if k == 3:
-        i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-        keep = i + j <= m
-        z0 = i[keep] / m
-        z1 = j[keep] / m
-        z2 = 1.0 - z0 - z1
-        g = b + coeff[0] * z0**2 + coeff[1] * z1**2 + coeff[2] * z2**2
-        return float(g.max())
-    i, j, l = np.meshgrid(
-        np.arange(m + 1), np.arange(m + 1), np.arange(m + 1), indexing="ij"
-    )
-    keep = i + j + l <= m
-    z0 = i[keep] / m
-    z1 = j[keep] / m
-    z2 = l[keep] / m
-    z3 = 1.0 - z0 - z1 - z2
-    g = (
-        b
-        + coeff[0] * z0**2
-        + coeff[1] * z1**2
-        + coeff[2] * z2**2
-        + coeff[3] * z3**2
-    )
-    return float(g.max())
+    # compositions of m into k parts: the first k-1 parts sum to at most m
+    head = np.indices((m + 1,) * (k - 1)).reshape(k - 1, -1)
+    head = head[:, head.sum(axis=0) <= m]
+    z = np.vstack([head, m - head.sum(axis=0)]) / m
+    return float((b + coeff @ (z * z)).max())
 
 
 def reduce_system(p: ParameterSet, group, equal_tol=EQUAL_TOL) -> ReducedSystem:

@@ -2,10 +2,11 @@
 
 The minimization runs on the constraint surface tau(u) = 0, which is free
 to enforce because the rescaling is closed form: every iterate is projected
-back by `nehari_scale`.  Descent uses the H^1 (Sobolev) gradient, i.e. the
-raw gradient preconditioned by (-Laplace + lambda_i)^{-1} per component
-(one banded Cholesky factorization per component, reused across
-iterations), with Armijo backtracking on the scale-invariant merit
+back by `functional.nehari_raw`, the one Nehari projection (`nehari_scale`
+and `action_on_nehari` are built on it).  Descent uses the H^1 (Sobolev)
+gradient, i.e. the raw gradient preconditioned by (-Laplace + lambda_i)^{-1}
+per component (one banded Cholesky factorization per component, reused
+across iterations), with Armijo backtracking on the scale-invariant merit
 action_on_nehari.  Iterates are clamped nonnegative: ground states have
 signed components, and fixing the positive representative removes sign
 oscillation.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .functional import action_parts_raw, gradient_raw
+from .functional import action_parts_raw, gradient_raw, nehari_raw
 from .grid import Field, MultiField, RadialGrid, h1_sq_raw, l4_raw, mixed_raw, wdot
 from .params import ParameterSet, validate
 
@@ -152,8 +153,12 @@ class CertificateReport:
 
 def soliton_profile(grid: RadialGrid, lam, mu):
     """sqrt(2*lam/mu) * sech(sqrt(lam) r): the exact N=1 single-equation
-    ground state, and a serviceable start profile for N = 2, 3."""
-    vals = np.sqrt(2.0 * lam / mu) / np.cosh(np.sqrt(lam) * grid.nodes)
+    ground state, and a serviceable start profile for N = 2, 3.
+
+    sech x is evaluated as 2 e^-x / (1 + e^-2x), which cannot overflow for
+    x = sqrt(lam) r >= 0 (1/cosh x overflows once x > 710)."""
+    e = np.exp(-np.sqrt(lam) * grid.nodes)
+    vals = np.sqrt(2.0 * lam / mu) * (2.0 * e / (1.0 + e * e))
     vals[-1] = 0.0
     return vals
 
@@ -193,8 +198,12 @@ class _Descent:
             self._factor_cache[i] = fac
         return fac
 
-    def _parts(self, values):
-        return action_parts_raw(self.grid, values, self.p)
+    def _project(self, values):
+        return nehari_raw(*action_parts_raw(self.grid, values, self.p))
+
+    def _norm(self, grad):
+        g = self.grid
+        return float(np.sqrt(sum(wdot(g, grad[i], grad[i]) for i in range(self.p.d))))
 
     def run(self, u0, mask):
         """Projected, preconditioned descent from u0 on the given support.
@@ -206,12 +215,11 @@ class _Descent:
         n = g.n
         u = np.where(mask[:, None], np.maximum(u0, 0.0), 0.0)
         u[:, -1] = 0.0
-        quad, qself, qcross = self._parts(u)
-        total = qself + qcross
-        if quad <= 0.0 or total <= 0.0:
+        proj = self._project(u)
+        if proj is None:
             return None
-        u *= np.sqrt(quad / total)
-        phi = quad * quad / (4.0 * total)
+        t, phi = proj
+        u *= t
         step = opts.initial_step
         gnorm = np.inf
         iterations = 0
@@ -220,7 +228,7 @@ class _Descent:
         for iterations in range(1, opts.max_iterations + 1):
             grad = gradient_raw(g, u, p)
             grad[~mask] = 0.0
-            gnorm = float(np.sqrt(sum(wdot(g, grad[i], grad[i]) for i in range(p.d))))
+            gnorm = self._norm(grad)
             if gnorm <= opts.grad_tol * max(1.0, 4.0 * phi):
                 converged = True
                 break
@@ -238,15 +246,12 @@ class _Descent:
             while alpha > 1e-16:
                 cand = np.maximum(u - alpha * direction, 0.0)
                 cand[:, -1] = 0.0
-                quad, qself, qcross = self._parts(cand)
-                total = qself + qcross
-                if total > 0.0 and quad > 0.0:
-                    phi_cand = quad * quad / (4.0 * total)
-                    if phi_cand <= phi - opts.armijo_c * alpha * decrement:
-                        u = np.sqrt(quad / total) * cand
-                        phi = phi_cand
-                        accepted = True
-                        break
+                proj = self._project(cand)
+                if proj is not None and proj[1] <= phi - opts.armijo_c * alpha * decrement:
+                    t, phi = proj
+                    u = t * cand
+                    accepted = True
+                    break
                 alpha *= opts.backtrack_factor
             if not accepted:
                 # backtracking hit the roundoff floor of the merit function;
@@ -266,12 +271,9 @@ class _Descent:
             raise ValueError("descent collapsed to the zero field")
         alive = masses > self.opts.theta_triv * top
         values = np.where(alive[:, None], values, 0.0)
-        quad, qself, qcross = self._parts(values)
-        values = values * np.sqrt(quad / (qself + qcross))
-        quad, qself, qcross = self._parts(values)
-        level = quad / 2.0 - (qself + qcross) / 4.0
-        grad = gradient_raw(g, values, p)
-        gnorm = float(np.sqrt(sum(wdot(g, grad[i], grad[i]) for i in range(p.d))))
+        t, level = self._project(values)
+        values = t * values
+        gnorm = self._norm(gradient_raw(g, values, p))
         support = tuple(int(i) for i in np.flatnonzero(alive))
         return values, level, support, gnorm
 
@@ -368,16 +370,16 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
     return _as_result(grid, best, alternates, runs)
 
 
-def _better(entry, best):
-    tol = LEVEL_TIE_TOL * max(1.0, abs(best[0]))
-    if entry[0] < best[0] - tol:
-        return True
-    return abs(entry[0] - best[0]) <= tol and entry[1] < best[1]
-
-
 def _tied(entry, best):
-    tol = LEVEL_TIE_TOL * max(1.0, abs(best[0]))
-    return abs(entry[0] - best[0]) <= tol
+    """Levels (entry[0], best[0]) agree within LEVEL_TIE_TOL, relative."""
+    return abs(entry[0] - best[0]) <= LEVEL_TIE_TOL * max(1.0, abs(best[0]))
+
+
+def _better(entry, best):
+    """Lower level wins; tied levels break to the smaller support entry[1]."""
+    if _tied(entry, best):
+        return entry[1] < best[1]
+    return entry[0] < best[0]
 
 
 def semitrivial_level(p: ParameterSet, grid: RadialGrid,
@@ -396,14 +398,8 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
         results[subset] = minimize_restricted(p, subset, grid, opts)
     best_subset = None
     for subset, res in sorted(results.items()):
-        if best_subset is None:
-            best_subset = subset
-            continue
-        cur = results[best_subset]
-        tol = LEVEL_TIE_TOL * max(1.0, abs(cur.level))
-        if res.level < cur.level - tol:
-            best_subset = subset
-    best = results[best_subset]
+        if best_subset is None or _better((res.level, subset), (best.level, best_subset)):
+            best_subset, best = subset, res
     return SemitrivialResult(
         level=best.level,
         best_subset=best_subset,

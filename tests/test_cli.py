@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from cnls import phase
 from cnls.cli import main
 
 SINGLE = {
@@ -116,6 +118,28 @@ class TestSweep:
         assert lines[1].startswith("b,full_level")
         assert len(lines) == 2 + 2
         assert lines[2].endswith("semitrivial,false,n/a,n/a,n/a,true")
+
+    def test_unconverged_restricted_solve_is_flagged(self, tmp_path, capsys, monkeypatch):
+        real_classify = phase.classify
+
+        def classify(p, opts):
+            v = real_classify(p, opts)
+            if p.constant_coupling() != 3.0:
+                return v
+            # the full solve converged; only a restricted solve did not
+            assert v.diagnostics["full"]["converged"]
+            return dataclasses.replace(
+                v, diagnostics={**v.diagnostics, "solver_converged": False}
+            )
+
+        monkeypatch.setattr(phase, "classify", classify)
+        cfg = json.loads(json.dumps(PAIR))
+        cfg["grid"]["n"] = 500
+        cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 3.0]}]}
+        cfg["output"] = {"dir": str(tmp_path / "out")}
+        cfg["workers"] = 1
+        assert main(["sweep", write_config(tmp_path, cfg)]) == 2
+        assert "(1 flagged)" in capsys.readouterr().out
 
 
 class TestReduce:

@@ -71,6 +71,15 @@ class TestAction:
             bk.quadratic - bk.quartic_self - bk.quartic_cross, rel=1e-14
         )
 
+    def test_coupling_diagonal_is_ignored(self, grid):
+        vals = np.array([soliton_profile(grid, 1.0, 1.0), 0.7 * soliton_profile(grid, 1.3, 0.9)])
+        u = MultiField(grid, vals)
+        base = {"d": 2, "N": 1, "lambda": [1.0, 1.3], "mu": [1.0, 0.9]}
+        p0 = ParameterSet.from_json_dict({**base, "b": [[0.0, 2.0], [2.0, 0.0]]})
+        p5 = ParameterSet.from_json_dict({**base, "b": [[5.0, 2.0], [2.0, -4.0]]})
+        assert action(u, p5) == action(u, p0)
+        np.testing.assert_array_equal(action_gradient(u, p5).values, action_gradient(u, p0).values)
+
     def test_dimension_mismatch(self, grid):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
         with pytest.raises(ValueError, match="dimension"):

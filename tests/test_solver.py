@@ -50,6 +50,17 @@ class TestSolverOptions:
             SolverOptions.from_json_dict({"sede": 3})
 
 
+class TestSolitonProfile:
+    def test_large_lambda_is_finite_and_matches_sech(self):
+        g = RadialGrid.make(1, 20.0, 2000)  # sqrt(lam) * r reaches 1000
+        vals = soliton_profile(g, 2500.0, 1.0)
+        with np.errstate(over="ignore"):
+            ref = np.sqrt(2.0 * 2500.0) / np.cosh(50.0 * g.nodes)
+        ref[-1] = 0.0
+        assert np.all(np.isfinite(vals))
+        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=1e-300)
+
+
 class TestSingleEquation:
     def test_level_matches_soliton(self, grid):
         p = ParameterSet.make([1.0], [1.0], 0.0)
