@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .functional import action
 from .grid import RadialGrid, write_profiles_csv
-from .params import ParameterSet, validate
+from .params import ParameterSet, as_float, as_int, validate
 from .phase import (
     PREDICATE_NAMES,
     PhaseOptions,
@@ -80,18 +80,19 @@ def _effective_config(config, args):
 
 def _phase_options(config):
     grid_cfg = config.get("grid", {})
+    if not isinstance(grid_cfg, dict):
+        raise ValueError('"grid" must be a JSON object')
     R = grid_cfg.get("R", "auto")
-    if R == "auto":
-        R = None
-    n = int(grid_cfg.get("n", 2000))
+    R = None if R in (None, "auto") else as_float(R, "grid.R")
+    n = as_int(grid_cfg.get("n", 2000), "grid.n")
     solver = SolverOptions.from_json_dict(config.get("solver", {}))
     kwargs = dict(grid_n=n, grid_R=R, solver=solver)
     if "margin_tol" in config:
-        kwargs["margin_tol"] = float(config["margin_tol"])
+        kwargs["margin_tol"] = as_float(config["margin_tol"], "margin_tol")
     if "workers" in config:
-        kwargs["workers"] = int(config["workers"])
+        kwargs["workers"] = as_int(config["workers"], "workers")
     if "sweep_cap" in config:
-        kwargs["sweep_cap"] = int(config["sweep_cap"])
+        kwargs["sweep_cap"] = as_int(config["sweep_cap"], "sweep_cap")
     return PhaseOptions(**kwargs)
 
 

@@ -100,9 +100,6 @@ class RadialGrid:
     def key(self):
         return (self.N, self.R, self.n)
 
-    def integrate(self, values):
-        return float(np.dot(self.weights, values))
-
     def to_json_dict(self):
         return {"N": self.N, "R": self.R, "n": self.n}
 

@@ -22,11 +22,12 @@ is not decisive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-#: Default relative tolerance used wherever "these values are equal" is a
+#: Relative tolerance used wherever "these values are equal" is a
 #: hypothesis (grouping of equal lambdas, constant coupling matrices).
 #: Config-file input represents intended equality exactly; swept or derived
 #: values may be perturbed in the last bits, hence a tolerance instead of ==.
@@ -84,21 +85,24 @@ class ParameterSet:
 
     @classmethod
     def from_json_dict(cls, obj):
-        p = cls(
-            d=int(obj["d"]),
-            N=int(obj["N"]),
-            lam=np.array(obj["lambda"], dtype=float),
-            mu=np.array(obj["mu"], dtype=float),
-            b=np.array(obj["b"], dtype=float),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("parameters must be a JSON object")
+        missing = [k for k in ("d", "N", "lambda", "mu", "b") if k not in obj]
+        if missing:
+            raise ValueError(f"parameters lack key(s): {missing}")
+        try:
+            lam, mu, b = (np.array(obj[k], dtype=float) for k in ("lambda", "mu", "b"))
+        except TypeError as exc:
+            raise ValueError(f"parameters hold a non-numeric entry: {exc}") from exc
+        p = cls(d=as_int(obj["d"], "d"), N=as_int(obj["N"], "N"), lam=lam, mu=mu, b=b)
         return validate(p)
 
-    def constant_coupling(self, tol=EQUAL_TOL):
+    def constant_coupling(self):
         """Return the common off-diagonal coupling, or None if not constant."""
         if self.d < 2:
             return None
         off = self.b[~np.eye(self.d, dtype=bool)]
-        if values_all_equal(off, tol):
+        if values_all_equal(off):
             return float(off.mean())
         return None
 
@@ -138,13 +142,28 @@ class SpreadConditionReport:
     holds: bool
 
 
-def values_all_equal(values, tol=EQUAL_TOL):
-    """True when all entries agree within a relative tolerance."""
+def values_all_equal(values):
+    """True when all entries agree within EQUAL_TOL, relative."""
     values = np.asarray(values, dtype=float)
     if values.size <= 1:
         return True
     scale = np.abs(values).max()
-    return float(values.max() - values.min()) <= tol * max(scale, 1e-300)
+    return float(values.max() - values.min()) <= EQUAL_TOL * max(scale, 1e-300)
+
+
+def as_int(value, name):
+    """``value`` as an int; a bool or a non-integral number from a config is
+    an error, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_float(value, name):
+    """``value`` as a float; a bool, string or other non-number is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def validate(p: ParameterSet) -> ParameterSet:
@@ -251,7 +270,7 @@ def small_b_bound(mu):
     return 2.0 ** (1.0 - d / 2.0) * math.sqrt(float(mu.min()) * float(mu.max()))
 
 
-def coupling_spread_condition(p: ParameterSet, equal_tol=EQUAL_TOL) -> SpreadConditionReport:
+def coupling_spread_condition(p: ParameterSet) -> SpreadConditionReport:
     """Spread condition on non-constant couplings for equal-lambda systems.
 
     Requires d >= 3 and all lambda_i equal (that equality is a hypothesis of
@@ -260,7 +279,7 @@ def coupling_spread_condition(p: ParameterSet, equal_tol=EQUAL_TOL) -> SpreadCon
     validate(p)
     if p.d < 3:
         raise ValueError(f"coupling spread condition requires d >= 3, got d={p.d}")
-    if not values_all_equal(p.lam, equal_tol):
+    if not values_all_equal(p.lam):
         raise ValueError(
             "hypothesis violated: the coupling spread condition assumes "
             "lambda_1 = ... = lambda_d"

@@ -87,7 +87,7 @@ def f_eval(X, mu, b):
     return float(b * (s * s - np.dot(z, z)) + np.dot(mu, z * z))
 
 
-def sphere_max(mu, b, equal_tol=EQUAL_TOL) -> SphereMaxResult:
+def sphere_max(mu, b) -> SphereMaxResult:
     """Closed-form maximum of f over the unit sphere.
 
     Three regimes:
@@ -110,8 +110,8 @@ def sphere_max(mu, b, equal_tol=EQUAL_TOL) -> SphereMaxResult:
         raise ValueError("mu entries must be nonnegative")
     mu_max = float(mu.max())
     scale = max(abs(mu_max), abs(b), 1e-300)
-    if abs(mu_max - b) <= equal_tol * scale:
-        active = np.flatnonzero(np.abs(mu - b) <= equal_tol * scale)
+    if abs(mu_max - b) <= EQUAL_TOL * scale:
+        active = np.flatnonzero(np.abs(mu - b) <= EQUAL_TOL * scale)
         x = np.zeros(k)
         x[active] = 1.0 / np.sqrt(active.size)
         return SphereMaxResult(
@@ -174,7 +174,7 @@ def brute_force_sphere_max(mu, b, resolution):
     return float((b + coeff @ (z * z)).max())
 
 
-def reduce_system(p: ParameterSet, group, equal_tol=EQUAL_TOL) -> ReducedSystem:
+def reduce_system(p: ParameterSet, group) -> ReducedSystem:
     """Collapse an equal-lambda group into one equation with mu = f_max.
 
     Requires a constant coupling matrix (the reduction is proved only for
@@ -188,17 +188,17 @@ def reduce_system(p: ParameterSet, group, equal_tol=EQUAL_TOL) -> ReducedSystem:
     for i in group:
         if not 0 <= i < p.d:
             raise ValueError(f"group index {i} out of range for d={p.d}")
-    b = p.constant_coupling(equal_tol)
+    b = p.constant_coupling()
     if b is None:
         raise ValueError(
             "reduction requires a constant coupling matrix (b_ij = b for all "
             "i != j); refusing to extrapolate to non-constant couplings"
         )
     lam_group = p.lam[list(group)]
-    if not values_all_equal(lam_group, equal_tol):
+    if not values_all_equal(lam_group):
         raise ValueError("group members must share one lambda value")
     retained = tuple(i for i in range(p.d) if i not in group)
-    sphere = sphere_max(p.mu[list(group)], b, equal_tol)
+    sphere = sphere_max(p.mu[list(group)], b)
     d_red = 1 + len(retained)
     lam_red = np.empty(d_red)
     mu_red = np.empty(d_red)

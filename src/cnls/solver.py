@@ -1,5 +1,10 @@
 """Ground-state levels c(I) by multistart minimization over the Nehari set.
 
+The level c(I) of a support I is the ground-state level of the subsystem
+made of the equations in I, so `minimize_restricted` solves that subsystem
+as a system of its own (parameters lam[I], mu[I], b[I, I]) and embeds the
+minimizer with zero rows outside I.
+
 The minimization runs on the constraint surface tau(u) = 0, which is free
 to enforce because the rescaling is closed form: every iterate is projected
 back by `functional.nehari_raw`, the one Nehari projection (`nehari_scale`
@@ -19,69 +24,64 @@ that a given semitrivial configuration is not the ground state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw
 from .grid import Field, MultiField, RadialGrid, h1_sq_raw, l4_raw, mixed_raw, wdot
-from .params import ParameterSet, validate
+from .params import ParameterSet, as_float, as_int, validate
 
 #: Two multistart results count as the same level when they agree within this
 #: relative tolerance; distinct supports at equal level are reported as
 #: alternates (uniqueness of minimizers is not guaranteed).
 LEVEL_TIE_TOL = 1e-8
 
+#: Armijo backtracking: first trial step, step shrink factor and
+#: sufficient-decrease constant.
+INITIAL_STEP = 1.0
+BACKTRACK_FACTOR = 0.5
+ARMIJO_C = 1e-4
+
+#: Relative L^4 mass below which a component of a computed minimizer is
+#: declared identically zero (the fully-nontrivial / semitrivial dichotomy is
+#: exact in the continuum; a numeric proxy needs a declared cutoff).
+THETA_TRIV = 1e-6
+
+#: Weight of the soliton profile added in the missing slot of each
+#: semitrivial start of `ground_state`.
+SEMITRIVIAL_EPS = 0.1
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Descent and multistart controls.
-
-    ``theta_triv`` is the relative L^4 mass below which a component of a
-    computed minimizer is declared identically zero (the fully-nontrivial /
-    semitrivial dichotomy is exact in the continuum; a numeric proxy needs a
-    declared cutoff).
-    """
+    """Descent and multistart controls."""
 
     max_iterations: int = 3000
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
     grad_tol: float = 1e-7
-    theta_triv: float = 1e-6
     random_starts: int = 2
     seed: int = 12345
-    semitrivial_eps: float = 0.1
 
     def __post_init__(self):
+        for name in ("max_iterations", "random_starts", "seed"):
+            as_int(getattr(self, name), name)
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be > 0")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be > 0")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if self.grad_tol <= 0:
+        if as_float(self.grad_tol, "grad_tol") <= 0:
             raise ValueError("grad_tol must be > 0")
-        if not 0 < self.theta_triv < 1e-2:
-            raise ValueError("theta_triv must be in (0, 1e-2)")
         if self.random_starts < 0:
             raise ValueError("random_starts must be >= 0")
-        if self.semitrivial_eps <= 0:
-            raise ValueError("semitrivial_eps must be > 0")
 
     @classmethod
     def from_json_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("solver options must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(obj) - known
         if bad:
             raise ValueError(f"unknown solver option(s): {sorted(bad)}")
         return cls(**obj)
-
-    def to_json_dict(self):
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class GroundStateResult:
 
     Invariants: the Nehari residual of ``fields`` is ~0, ``level`` equals
     the action at ``fields``, components flagged in ``support`` carry L^4
-    mass above the triviality threshold and all others are identically 0.
+    mass above THETA_TRIV times the largest and all others are identically 0.
     """
 
     fields: MultiField
@@ -142,14 +142,6 @@ class CertificateReport:
     holds: bool
     missing_index: int
 
-    def to_json_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": bool(self.holds),
-            "missing_index": int(self.missing_index),
-        }
-
 
 def soliton_profile(grid: RadialGrid, lam, mu):
     """sqrt(2*lam/mu) * sech(sqrt(lam) r): the exact N=1 single-equation
@@ -163,12 +155,21 @@ def soliton_profile(grid: RadialGrid, lam, mu):
     return vals
 
 
-def _random_profile(grid: RadialGrid, rng, lam):
-    amp = 0.5 + rng.random()
-    rate = (0.5 + rng.random()) * np.sqrt(lam)
-    vals = amp * np.exp(-rate * grid.nodes)
-    vals[-1] = 0.0
-    return vals
+def _soliton_start(p: ParameterSet, grid: RadialGrid):
+    """A (d, n+1) start with the soliton profile of every component."""
+    return np.array(
+        [soliton_profile(grid, float(p.lam[i]), float(p.mu[i])) for i in range(p.d)]
+    )
+
+
+def _random_start(p: ParameterSet, grid: RadialGrid, rng):
+    """A (d, n+1) start with a seeded profile amp * exp(-rate r) per component."""
+    u = np.empty((p.d, grid.n + 1))
+    for i in range(p.d):
+        amp = 0.5 + rng.random()
+        rate = (0.5 + rng.random()) * np.sqrt(float(p.lam[i]))
+        u[i] = amp * np.exp(-rate * grid.nodes)
+    return u
 
 
 class _Descent:
@@ -205,41 +206,37 @@ class _Descent:
         g = self.grid
         return float(np.sqrt(sum(wdot(g, grad[i], grad[i]) for i in range(self.p.d))))
 
-    def run(self, u0, mask):
-        """Projected, preconditioned descent from u0 on the given support.
+    def run(self, u0):
+        """Projected, preconditioned descent from u0 (clamped nonnegative,
+        zero at the outer node).
 
         Returns (values, iterations, grad_norm, converged) or None when the
         start cannot be projected onto the constraint set.
         """
         p, g, opts = self.p, self.grid, self.opts
         n = g.n
-        u = np.where(mask[:, None], np.maximum(u0, 0.0), 0.0)
+        u = np.maximum(u0, 0.0)
         u[:, -1] = 0.0
         proj = self._project(u)
         if proj is None:
             return None
         t, phi = proj
         u *= t
-        step = opts.initial_step
+        step = INITIAL_STEP
         gnorm = np.inf
         iterations = 0
         converged = False
         direction = np.zeros_like(u)
         for iterations in range(1, opts.max_iterations + 1):
             grad = gradient_raw(g, u, p)
-            grad[~mask] = 0.0
             gnorm = self._norm(grad)
             if gnorm <= opts.grad_tol * max(1.0, 4.0 * phi):
                 converged = True
                 break
             decrement = 0.0
             for i in range(p.d):
-                if not mask[i]:
-                    direction[i] = 0.0
-                    continue
                 rhs = (g.weights * grad[i])[:n]
                 direction[i, :n] = cho_solve_banded((self._factor(i), False), rhs)
-                direction[i, n] = 0.0
                 decrement += wdot(g, grad[i], direction[i])
             alpha = step
             accepted = False
@@ -247,19 +244,19 @@ class _Descent:
                 cand = np.maximum(u - alpha * direction, 0.0)
                 cand[:, -1] = 0.0
                 proj = self._project(cand)
-                if proj is not None and proj[1] <= phi - opts.armijo_c * alpha * decrement:
+                if proj is not None and proj[1] <= phi - ARMIJO_C * alpha * decrement:
                     t, phi = proj
                     u = t * cand
                     accepted = True
                     break
-                alpha *= opts.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
             if not accepted:
                 # backtracking hit the roundoff floor of the merit function;
                 # count it as converged when the gradient is within a small
                 # factor of the tolerance (value error scales as gnorm^2)
                 converged = gnorm <= 10.0 * opts.grad_tol * max(1.0, 4.0 * phi)
                 break
-            step = min(opts.initial_step, alpha / opts.backtrack_factor)
+            step = min(INITIAL_STEP, alpha / BACKTRACK_FACTOR)
         return u, iterations, gnorm, converged
 
     def finalize(self, values):
@@ -269,7 +266,7 @@ class _Descent:
         top = masses.max()
         if top <= 0.0:
             raise ValueError("descent collapsed to the zero field")
-        alive = masses > self.opts.theta_triv * top
+        alive = masses > THETA_TRIV * top
         values = np.where(alive[:, None], values, 0.0)
         t, level = self._project(values)
         values = t * values
@@ -278,24 +275,15 @@ class _Descent:
         return values, level, support, gnorm
 
 
-def _support_mask(d, indices):
-    mask = np.zeros(d, dtype=bool)
-    for i in indices:
-        if not 0 <= i < d:
-            raise ValueError(f"support index {i} out of range for d={d}")
-        mask[i] = True
-    return mask
-
-
-def _run_starts(desc: _Descent, starts):
-    """Run every (start, mask) pair and merge: lowest level wins, ties break
-    to the lexicographically smallest support; tied distinct supports are
-    kept as alternates (minimizers need not be unique)."""
+def _run_starts(desc: _Descent, starts) -> GroundStateResult:
+    """Run every start and merge: lowest level wins, ties break to the
+    lexicographically smallest support; tied distinct supports are kept as
+    alternates (minimizers need not be unique)."""
     best = None
     alternates = {}
     runs = 0
-    for u0, mask in starts:
-        out = desc.run(u0, mask)
+    for u0 in starts:
+        out = desc.run(u0)
         if out is None:
             continue
         runs += 1
@@ -309,13 +297,9 @@ def _run_starts(desc: _Descent, starts):
     if best is None:
         raise ValueError("no start could be projected onto the constraint set")
     alternates.pop(best[1], None)
-    return best, alternates, runs
-
-
-def _as_result(grid, best, alternates, runs) -> GroundStateResult:
     level, sup, values, iterations, gnorm, converged = best
     return GroundStateResult(
-        fields=MultiField(grid, values),
+        fields=MultiField(desc.grid, values),
         level=level,
         support=sup,
         iterations=iterations,
@@ -331,11 +315,13 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
                         init: MultiField = None) -> GroundStateResult:
     """Approximate the ground-state level of the subsystem on ``support``.
 
-    Components outside ``support`` stay identically zero throughout.  With
-    ``init`` given, a single descent runs from it (components outside the
-    support must be zero); otherwise the start inventory is one soliton-type
-    profile per supported component plus ``opts.random_starts`` seeded
-    positive random profiles.
+    The subsystem keeps the equations in I = ``support`` (parameters
+    lam[I], mu[I], b[I, I]) and is minimized as a system of its own.  The
+    result has d rows, identically zero outside I, and its ``support`` and
+    ``alternates`` use the indices of ``p``.  With ``init`` given (d rows,
+    zero outside I), a single descent runs from it; otherwise the start
+    inventory is the subsystem's soliton start plus ``opts.random_starts``
+    seeded random starts.
 
     A non-converged run is still returned, flagged via ``converged=False``.
     """
@@ -343,31 +329,37 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
     support = tuple(sorted(set(int(i) for i in support)))
     if not support:
         raise ValueError("support must be a nonempty index set")
-    mask = _support_mask(p.d, support)
-    desc = _Descent(p, grid, opts)
+    for i in support:
+        if not 0 <= i < p.d:
+            raise ValueError(f"support index {i} out of range for d={p.d}")
+    rows = list(support)
+    sub = ParameterSet(d=len(rows), N=p.N, lam=p.lam[rows], mu=p.mu[rows],
+                       b=p.b[np.ix_(rows, rows)])
 
-    starts = []
     if init is not None:
         if init.grid.key != grid.key:
             raise ValueError("init fields live on a different grid")
-        if np.any(init.values[~mask] != 0.0):
+        if init.d != p.d:
+            raise ValueError(f"init has {init.d} components, parameters have d={p.d}")
+        if np.any(np.delete(init.values, rows, axis=0) != 0.0):
             raise ValueError("init has nonzero components outside the support")
-        starts.append((init.values.copy(), mask))
+        starts = [init.values[rows]]
     else:
-        u0 = np.zeros((p.d, grid.n + 1))
-        for i in support:
-            u0[i] = soliton_profile(grid, float(p.lam[i]), float(p.mu[i]))
-        starts.append((u0, mask))
         bitmask = sum(1 << i for i in support)
-        for k in range(opts.random_starts):
-            rng = np.random.default_rng([opts.seed, 17, bitmask, k])
-            ur = np.zeros((p.d, grid.n + 1))
-            for i in support:
-                ur[i] = _random_profile(grid, rng, float(p.lam[i]))
-            starts.append((ur, mask))
+        starts = [_soliton_start(sub, grid)] + [
+            _random_start(sub, grid, np.random.default_rng([opts.seed, 17, bitmask, k]))
+            for k in range(opts.random_starts)
+        ]
 
-    best, alternates, runs = _run_starts(desc, starts)
-    return _as_result(grid, best, alternates, runs)
+    res = _run_starts(_Descent(sub, grid, opts), starts)
+    embedded = np.zeros((p.d, grid.n + 1))
+    embedded[rows] = res.fields.values
+
+    def lift(s):
+        return tuple(support[i] for i in s)
+
+    return replace(res, fields=MultiField(grid, embedded), support=lift(res.support),
+                   alternates=tuple((lift(s), lv) for s, lv in res.alternates))
 
 
 def _tied(entry, best):
@@ -414,41 +406,29 @@ def ground_state(p: ParameterSet, grid: RadialGrid,
     """Best level over the full multistart inventory.
 
     Starts: (a) soliton-type profiles in every slot, (b) each size-(d-1)
-    semitrivial minimizer, bare and with ``opts.semitrivial_eps`` times a
-    soliton profile added in the missing slot, (c) seeded random positive
-    profiles.  The bare semitrivial starts guarantee the returned level
-    never exceeds the semitrivial level by more than solver noise.  The
-    level is an upper approximation of the true ground-state level.
+    semitrivial minimizer, bare and with SEMITRIVIAL_EPS times the soliton
+    profile added in the missing slot, (c) seeded random positive profiles.
+    The bare semitrivial starts guarantee the returned level never exceeds
+    the semitrivial level by more than solver noise.  The level is an upper
+    approximation of the true ground-state level.
     """
     validate(p)
     if p.d == 1:
         return minimize_restricted(p, (0,), grid, opts)
     if semitrivial is None:
         semitrivial = semitrivial_level(p, grid, opts)
-    mask = np.ones(p.d, dtype=bool)
-    desc = _Descent(p, grid, opts)
 
-    starts = []
-    starts.append((np.array(
-        [soliton_profile(grid, float(p.lam[i]), float(p.mu[i])) for i in range(p.d)]
-    ), mask))
+    soliton = _soliton_start(p, grid)
+    starts = [soliton]
     for subset, res in sorted(semitrivial.results.items()):
         missing = next(i for i in range(p.d) if i not in subset)
-        base = res.fields.values.copy()
-        starts.append((base, mask))
-        bumped = base.copy()
-        bumped[missing] += opts.semitrivial_eps * soliton_profile(
-            grid, float(p.lam[missing]), float(p.mu[missing])
-        )
-        starts.append((bumped, mask))
-    for k in range(opts.random_starts):
-        rng = np.random.default_rng([opts.seed, 23, k])
-        starts.append((np.array(
-            [_random_profile(grid, rng, float(p.lam[i])) for i in range(p.d)]
-        ), mask))
+        bumped = res.fields.values.copy()
+        bumped[missing] += SEMITRIVIAL_EPS * soliton[missing]
+        starts += [res.fields.values, bumped]
+    starts += [_random_start(p, grid, np.random.default_rng([opts.seed, 23, k]))
+               for k in range(opts.random_starts)]
 
-    best, alternates, runs = _run_starts(desc, starts)
-    return _as_result(grid, best, alternates, runs)
+    return _run_starts(_Descent(p, grid, opts), starts)
 
 
 def perturbation_certificate(p: ParameterSet, semi: GroundStateResult,

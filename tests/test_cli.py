@@ -60,6 +60,23 @@ class TestSolve:
         assert code == 1
         assert "positivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c["parameters"].pop("b"),
+        lambda c: c.update(parameters=[1.0]),
+        lambda c: c["grid"].update(R="20"),
+        lambda c: c["solver"].update(max_iterations=2.5),
+        lambda c: c["parameters"].update(N=1.5),
+        lambda c: c["grid"].update(n=2000.5),
+    ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
+            "fractional-N", "fractional-n"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, edit):
+        cfg = json.loads(json.dumps(SINGLE))
+        edit(cfg)
+        cfg["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err

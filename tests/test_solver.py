@@ -5,6 +5,7 @@ from cnls.functional import action
 from cnls.grid import Field, MultiField, RadialGrid, l4_quartic
 from cnls.params import ParameterSet
 from cnls.solver import (
+    THETA_TRIV,
     GroundStateResult,
     SolverOptions,
     ground_state,
@@ -34,8 +35,8 @@ class TestSolverOptions:
         "kwargs",
         [
             {"max_iterations": 0},
-            {"backtrack_factor": 1.0},
-            {"theta_triv": 0.5},
+            {"max_iterations": 2.5},
+            {"seed": "12345"},
             {"grad_tol": -1.0},
             {"random_starts": -1},
         ],
@@ -79,7 +80,7 @@ class TestSingleEquation:
         top = max(masses)
         for i, m in enumerate(masses):
             if i in res.support:
-                assert m > SolverOptions().theta_triv * top
+                assert m > THETA_TRIV * top
             else:
                 assert np.all(res.fields.values[i] == 0.0)
 
@@ -126,11 +127,31 @@ class TestMinimizeRestricted:
         with pytest.raises(ValueError, match="outside"):
             minimize_restricted(p, (0,), grid, init=MultiField(grid, vals))
 
+    def test_init_with_wrong_component_count_rejected(self, grid):
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
+        vals = np.tile(soliton_profile(grid, 1.0, 1.0), (3, 1))
+        with pytest.raises(ValueError, match="components"):
+            minimize_restricted(p, (0, 1), grid, init=MultiField(grid, vals))
+
     def test_components_outside_support_stay_zero(self, grid):
         p = ParameterSet.make([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2.0)
         res = minimize_restricted(p, (0, 2), grid)
         assert np.all(res.fields.values[1] == 0.0)
         assert set(res.support) <= {0, 2}
+
+    def test_support_solves_the_subsystem_with_indices_mapped(self, grid):
+        # the random starts are keyed by the caller's support indices, so
+        # only the soliton start is shared with the native pair
+        opts = SolverOptions(random_starts=0)
+        p3 = ParameterSet.make([1.0, 1.3, 0.9], [1.0, 1.1, 0.8], 3.0)
+        p2 = ParameterSet.make([1.0, 0.9], [1.0, 0.8], 3.0)
+        res = minimize_restricted(p3, (0, 2), grid, opts)
+        native = minimize_restricted(p2, (0, 1), grid, opts)
+        assert res.support == (0, 2)
+        assert res.level == native.level
+        assert (res.iterations, res.grad_norm) == (native.iterations, native.grad_norm)
+        assert np.all(res.fields.values[1] == 0.0)
+        assert np.array_equal(res.fields.values[[0, 2]], native.fields.values)
 
     def test_monotone_inclusion_with_seeding(self, grid):
         rng = np.random.default_rng(21)
