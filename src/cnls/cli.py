@@ -20,7 +20,8 @@ from pathlib import Path
 from . import __version__
 from .functional import action
 from .grid import RadialGrid, write_profiles_csv
-from .params import ParameterSet, as_float, as_int, validate
+from .params import ParameterSet, as_float, as_int
+from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .phase import (
     PREDICATE_NAMES,
     PhaseOptions,
@@ -36,6 +37,12 @@ from .solver import SolverOptions, ground_state
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WARNINGS = 2
+
+#: Every top-level key a run config may hold; any other key is an error.
+_CONFIG_KEYS = ("parameters", "grid", "solver", "workers", "sweep", "reduce",
+               "output", "check_truncation")
+#: The config sections that must be JSON objects.
+_SECTIONS = ("grid", "solver", "sweep", "reduce", "output")
 
 #: `cnls thresholds` row label and the words for a satisfied / failed
 #: condition, per predicate report.
@@ -64,6 +71,23 @@ def _load_config(path):
         raise ValueError("config must be a JSON object")
     if "parameters" not in config:
         raise ValueError('config needs a "parameters" object')
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {unknown}")
+    for key in _SECTIONS:
+        if not isinstance(config.get(key, {}), dict):
+            raise ValueError(f'"{key}" must be a JSON object')
+    axes = config.get("sweep", {}).get("axes", [])
+    if not isinstance(axes, list) or not all(
+        isinstance(a, dict) and isinstance(a.get("path"), str)
+        and isinstance(a.get("values"), list)
+        for a in axes
+    ):
+        raise ValueError('"sweep.axes" must be a list of {"path": string, "values": list}')
+    if not isinstance(config.get("output", {}).get("dir", "."), str):
+        raise ValueError('"output.dir" must be a string')
+    if not isinstance(config.get("check_truncation", False), bool):
+        raise ValueError('"check_truncation" must be true or false')
     return config
 
 
@@ -80,19 +104,13 @@ def _effective_config(config, args):
 
 def _phase_options(config):
     grid_cfg = config.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ValueError('"grid" must be a JSON object')
     R = grid_cfg.get("R", "auto")
     R = None if R in (None, "auto") else as_float(R, "grid.R")
     n = as_int(grid_cfg.get("n", 2000), "grid.n")
     solver = SolverOptions.from_json_dict(config.get("solver", {}))
     kwargs = dict(grid_n=n, grid_R=R, solver=solver)
-    if "margin_tol" in config:
-        kwargs["margin_tol"] = as_float(config["margin_tol"], "margin_tol")
     if "workers" in config:
         kwargs["workers"] = as_int(config["workers"], "workers")
-    if "sweep_cap" in config:
-        kwargs["sweep_cap"] = as_int(config["sweep_cap"], "sweep_cap")
     return PhaseOptions(**kwargs)
 
 
@@ -180,8 +198,8 @@ def cmd_sweep(config):
 def cmd_reduce(config):
     p = ParameterSet.from_json_dict(config["parameters"])
     group = config.get("reduce", {}).get("group")
-    if not group:
-        raise ValueError('reduce needs config["reduce"]["group"] (component indices)')
+    if not isinstance(group, list):
+        raise ValueError('reduce needs config["reduce"]["group"] (a list of component indices)')
     red = reduce_system(p, group)
     print(json.dumps({
         "reduced_parameters": red.reduced.to_json_dict(),
@@ -195,7 +213,7 @@ def cmd_reduce(config):
 
 
 def cmd_thresholds(config):
-    p = validate(ParameterSet.from_json_dict(config["parameters"]))
+    p = ParameterSet.from_json_dict(config["parameters"])
     preds = evaluate_predicates(p)
     tail = preds["lambda_tail"].info
     alpha = f"{tail['alpha']:.6g}" if "alpha" in tail else f"n/a ({tail['reason']})"

@@ -39,7 +39,8 @@ class ParameterSet:
     """The full problem datum: d equations on R^N with coefficient arrays.
 
     ``lam`` and ``mu`` are length-d vectors of positive reals, ``b`` is the
-    d x d symmetric coupling matrix whose diagonal is ignored.
+    d x d symmetric coupling matrix whose diagonal is ignored.  Construction
+    runs `validate`, so every instance satisfies the standing hypotheses.
     """
 
     d: int
@@ -57,6 +58,7 @@ class ParameterSet:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "b", b)
+        validate(self)
 
     @classmethod
     def make(cls, lam, mu, b, N=1):
@@ -94,8 +96,7 @@ class ParameterSet:
             lam, mu, b = (np.array(obj[k], dtype=float) for k in ("lambda", "mu", "b"))
         except TypeError as exc:
             raise ValueError(f"parameters hold a non-numeric entry: {exc}") from exc
-        p = cls(d=as_int(obj["d"], "d"), N=as_int(obj["N"], "N"), lam=lam, mu=mu, b=b)
-        return validate(p)
+        return cls(d=as_int(obj["d"], "d"), N=as_int(obj["N"], "N"), lam=lam, mu=mu, b=b)
 
     def constant_coupling(self):
         """Return the common off-diagonal coupling, or None if not constant."""
@@ -108,14 +109,12 @@ class ParameterSet:
 
     def replace(self, lam=None, mu=None, b=None):
         """Copy with some coefficient arrays replaced (revalidated)."""
-        return validate(
-            ParameterSet(
-                d=self.d,
-                N=self.N,
-                lam=self.lam if lam is None else np.array(lam, dtype=float),
-                mu=self.mu if mu is None else np.array(mu, dtype=float),
-                b=self.b if b is None else np.array(b, dtype=float),
-            )
+        return ParameterSet(
+            d=self.d,
+            N=self.N,
+            lam=self.lam if lam is None else lam,
+            mu=self.mu if mu is None else mu,
+            b=self.b if b is None else b,
         )
 
 
@@ -164,6 +163,20 @@ def as_float(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def index_set(indices, d, name, min_size):
+    """``indices`` as a sorted tuple of distinct integers in [0, d) with at
+    least ``min_size`` entries; a non-integral index is an error, not
+    truncated."""
+    out = tuple(sorted({as_int(i, f"{name} index") for i in indices}))
+    if len(out) < min_size:
+        raise ValueError(f"{name} must be a nonempty index set of at least {min_size} "
+                         f"distinct indices, got {list(out)}")
+    for i in out:
+        if not 0 <= i < d:
+            raise ValueError(f"{name} index {i} out of range for d={d}")
+    return out
 
 
 def validate(p: ParameterSet) -> ParameterSet:
@@ -276,7 +289,6 @@ def coupling_spread_condition(p: ParameterSet) -> SpreadConditionReport:
     Requires d >= 3 and all lambda_i equal (that equality is a hypothesis of
     the condition, so unequal lambdas are a precondition error, not a False).
     """
-    validate(p)
     if p.d < 3:
         raise ValueError(f"coupling spread condition requires d >= 3, got d={p.d}")
     if not values_all_equal(p.lam):

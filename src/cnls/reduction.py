@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MultiField
-from .params import EQUAL_TOL, ParameterSet, validate, values_all_equal
+from .params import EQUAL_TOL, ParameterSet, index_set, values_all_equal
 from .solver import GroundStateResult
 
 REGIME_VERTEX = "vertex"
@@ -181,13 +181,7 @@ def reduce_system(p: ParameterSet, group) -> ReducedSystem:
     b_ij = b, and is not extrapolated) and at least two group members
     sharing one lambda within the equality tolerance.
     """
-    validate(p)
-    group = tuple(sorted(set(int(i) for i in group)))
-    if len(group) < 2:
-        raise ValueError("group must contain at least 2 component indices")
-    for i in group:
-        if not 0 <= i < p.d:
-            raise ValueError(f"group index {i} out of range for d={p.d}")
+    group = index_set(group, p.d, "group", 2)
     b = p.constant_coupling()
     if b is None:
         raise ValueError(
@@ -209,7 +203,7 @@ def reduce_system(p: ParameterSet, group) -> ReducedSystem:
         mu_red[pos] = p.mu[i]
     b_red = np.full((d_red, d_red), b)
     np.fill_diagonal(b_red, 0.0)
-    reduced = validate(ParameterSet(d=d_red, N=p.N, lam=lam_red, mu=mu_red, b=b_red))
+    reduced = ParameterSet(d=d_red, N=p.N, lam=lam_red, mu=mu_red, b=b_red)
     mapping = ReductionMap(group=group, retained=retained, d_full=p.d)
     return ReducedSystem(reduced=reduced, mapping=mapping, sphere=sphere)
 

@@ -31,7 +31,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw
 from .grid import Field, MultiField, RadialGrid, h1_sq_raw, l4_raw, mixed_raw, wdot
-from .params import ParameterSet, as_float, as_int, validate
+from .params import ParameterSet, as_float, as_int, index_set
+from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 #: Two multistart results count as the same level when they agree within this
 #: relative tolerance; distinct supports at equal level are reported as
@@ -125,7 +126,6 @@ class SemitrivialResult:
     level: float
     best_subset: tuple
     results: dict
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -311,45 +311,27 @@ def _run_starts(desc: _Descent, starts) -> GroundStateResult:
 
 
 def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
-                        opts: SolverOptions = SolverOptions(),
-                        init: MultiField = None) -> GroundStateResult:
+                        opts: SolverOptions = SolverOptions()) -> GroundStateResult:
     """Approximate the ground-state level of the subsystem on ``support``.
 
     The subsystem keeps the equations in I = ``support`` (parameters
     lam[I], mu[I], b[I, I]) and is minimized as a system of its own.  The
     result has d rows, identically zero outside I, and its ``support`` and
-    ``alternates`` use the indices of ``p``.  With ``init`` given (d rows,
-    zero outside I), a single descent runs from it; otherwise the start
-    inventory is the subsystem's soliton start plus ``opts.random_starts``
-    seeded random starts.
+    ``alternates`` use the indices of ``p``.  The start inventory is the
+    subsystem's soliton start plus ``opts.random_starts`` seeded random
+    starts.
 
     A non-converged run is still returned, flagged via ``converged=False``.
     """
-    validate(p)
-    support = tuple(sorted(set(int(i) for i in support)))
-    if not support:
-        raise ValueError("support must be a nonempty index set")
-    for i in support:
-        if not 0 <= i < p.d:
-            raise ValueError(f"support index {i} out of range for d={p.d}")
+    support = index_set(support, p.d, "support", 1)
     rows = list(support)
     sub = ParameterSet(d=len(rows), N=p.N, lam=p.lam[rows], mu=p.mu[rows],
                        b=p.b[np.ix_(rows, rows)])
-
-    if init is not None:
-        if init.grid.key != grid.key:
-            raise ValueError("init fields live on a different grid")
-        if init.d != p.d:
-            raise ValueError(f"init has {init.d} components, parameters have d={p.d}")
-        if np.any(np.delete(init.values, rows, axis=0) != 0.0):
-            raise ValueError("init has nonzero components outside the support")
-        starts = [init.values[rows]]
-    else:
-        bitmask = sum(1 << i for i in support)
-        starts = [_soliton_start(sub, grid)] + [
-            _random_start(sub, grid, np.random.default_rng([opts.seed, 17, bitmask, k]))
-            for k in range(opts.random_starts)
-        ]
+    bitmask = sum(1 << i for i in support)
+    starts = [_soliton_start(sub, grid)] + [
+        _random_start(sub, grid, np.random.default_rng([opts.seed, 17, bitmask, k]))
+        for k in range(opts.random_starts)
+    ]
 
     res = _run_starts(_Descent(sub, grid, opts), starts)
     embedded = np.zeros((p.d, grid.n + 1))
@@ -381,7 +363,6 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
     Supports of smaller size are dominated by feasible-set inclusion
     (c(I') <= c(I) for I inside I'), so size d-1 suffices.
     """
-    validate(p)
     if p.d < 2:
         raise ValueError("semitrivial levels need d >= 2")
     results = {}
@@ -392,12 +373,7 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
     for subset, res in sorted(results.items()):
         if best_subset is None or _better((res.level, subset), (best.level, best_subset)):
             best_subset, best = subset, res
-    return SemitrivialResult(
-        level=best.level,
-        best_subset=best_subset,
-        results=results,
-        converged=best.converged,
-    )
+    return SemitrivialResult(level=best.level, best_subset=best_subset, results=results)
 
 
 def ground_state(p: ParameterSet, grid: RadialGrid,
@@ -412,7 +388,6 @@ def ground_state(p: ParameterSet, grid: RadialGrid,
     the semitrivial level by more than solver noise.  The level is an upper
     approximation of the true ground-state level.
     """
-    validate(p)
     if p.d == 1:
         return minimize_restricted(p, (0,), grid, opts)
     if semitrivial is None:
@@ -438,7 +413,6 @@ def perturbation_certificate(p: ParameterSet, semi: GroundStateResult,
     ``semi`` must miss exactly one component i0.  Both sides are degree-2
     homogeneous in w, so the verdict is scale free.
     """
-    validate(p)
     missing = [i for i in range(p.d) if i not in semi.support]
     if len(missing) != 1:
         raise ValueError(

@@ -60,20 +60,41 @@ class TestSolve:
         assert code == 1
         assert "positivity" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        lambda c: c["parameters"].pop("b"),
-        lambda c: c.update(parameters=[1.0]),
-        lambda c: c["grid"].update(R="20"),
-        lambda c: c["solver"].update(max_iterations=2.5),
-        lambda c: c["parameters"].update(N=1.5),
-        lambda c: c["grid"].update(n=2000.5),
+    @pytest.mark.parametrize("argv, edit", [
+        ("solve", lambda c: c["parameters"].pop("b")),
+        ("solve", lambda c: c.update(parameters=[1.0])),
+        ("solve", lambda c: c["grid"].update(R="20")),
+        ("solve", lambda c: c["solver"].update(max_iterations=2.5)),
+        ("solve", lambda c: c["parameters"].update(N=1.5)),
+        ("solve", lambda c: c["grid"].update(n=2000.5)),
+        ("reduce", lambda c: c.update(reduce=[0, 1])),
+        ("reduce", lambda c: c.update(parameters=PAIR["parameters"],
+                                      reduce={"group": [0.7, 1]})),
+        ("sweep", lambda c: c.update(sweep={"axes": [{"path": "b"}]})),
+        ("sweep", lambda c: c.update(sweep=[1])),
+        ("sweep", lambda c: c.update(sweep={"axes": [{"path": "b", "values": [None]}]})),
+        ("solve", lambda c: c.update(output="x")),
+        ("solve", lambda c: c.update(output={"dir": 5})),
+        ("solve --output-dir o", lambda c: c.update(output="x")),
+        ("solve --seed 3", lambda c: c.update(solver=[1])),
+        ("solve", lambda c: c.update(check_truncation="yes")),
+        ("solve", lambda c: c.update(margn_tol=0.5)),
+        ("solve", lambda c: c.update(margin_tol=1e-4)),
+        ("solve", lambda c: c.update(sweep_cap=3)),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
-            "fractional-N", "fractional-n"])
-    def test_malformed_config_exit_1(self, tmp_path, capsys, edit):
+            "fractional-N", "fractional-n", "list-reduce", "fractional-group",
+            "axis-without-values", "list-sweep", "null-axis-value", "string-output",
+            "integer-output-dir",
+            "string-output-with-dir-flag", "list-solver-with-seed-flag",
+            "string-check_truncation", "misspelt-key", "removed-margin_tol",
+            "removed-sweep_cap"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
+        monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
+        cfg["output"] = {"dir": "out"}
         edit(cfg)
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        command, *flags = argv.split()
+        assert main([command, write_config(tmp_path, cfg), *flags]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 

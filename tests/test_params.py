@@ -23,22 +23,19 @@ def test_validate_accepts_symmetric_cooperative_pair():
 
 def test_validate_rejects_asymmetric_coupling():
     b = np.array([[0.0, 2.0], [3.0, 0.0]])
-    p = ParameterSet(d=2, N=1, lam=np.ones(2), mu=np.ones(2), b=b)
     with pytest.raises(ValueError, match="symmetry"):
-        validate(p)
+        ParameterSet(d=2, N=1, lam=np.ones(2), mu=np.ones(2), b=b)
 
 
 def test_validate_rejects_nonpositive_mu():
-    p = ParameterSet(d=2, N=1, lam=np.ones(2), mu=np.array([1.0, 0.0]),
-                     b=np.array([[0.0, 2.0], [2.0, 0.0]]))
     with pytest.raises(ValueError, match="positivity"):
-        validate(p)
+        ParameterSet(d=2, N=1, lam=np.ones(2), mu=np.array([1.0, 0.0]),
+                     b=np.array([[0.0, 2.0], [2.0, 0.0]]))
 
 
 def test_validate_rejects_bad_dimension():
-    p = ParameterSet(d=1, N=4, lam=np.ones(1), mu=np.ones(1), b=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="N must be"):
-        validate(p)
+        ParameterSet(d=1, N=4, lam=np.ones(1), mu=np.ones(1), b=np.zeros((1, 1)))
 
 
 def test_validate_rejects_noncooperative_coupling():
@@ -46,7 +43,12 @@ def test_validate_rejects_noncooperative_coupling():
     b = np.array(p.b)
     b[0, 1] = b[1, 0] = -0.5
     with pytest.raises(ValueError, match="cooperative"):
-        validate(ParameterSet(d=2, N=1, lam=p.lam, mu=p.mu, b=b))
+        ParameterSet(d=2, N=1, lam=p.lam, mu=p.mu, b=b)
+
+
+def test_make_rejects_negative_coupling():
+    with pytest.raises(ValueError, match="cooperative"):
+        ParameterSet.make([1.0, 1.0], [1.0, 1.0], -1.0)
 
 
 def test_json_roundtrip_and_symmetry_check_on_load():

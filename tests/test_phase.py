@@ -3,12 +3,15 @@ import io
 import numpy as np
 import pytest
 
+from cnls.functional import action_on_nehari
 from cnls.params import ParameterSet, small_b_bound
 from cnls.phase import (
     FULLY_NONTRIVIAL,
     INCONCLUSIVE,
     SEMITRIVIAL,
+    SWEEP_CAP,
     PhaseOptions,
+    build_grid,
     classify,
     coupling_scaling_identity,
     evaluate_predicates,
@@ -18,6 +21,7 @@ from cnls.phase import (
     sweep,
     write_sweep_csv,
 )
+from cnls.solver import ground_state
 
 SINGLE_LEVEL = 4.0 / 3.0
 
@@ -178,10 +182,11 @@ class TestSweep:
         assert len(lines) == 2 + 2
 
     def test_cap_enforced(self):
+        # 50 x 41 = 2050 points; the cap is checked before any solve
         base = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
-        opts = PhaseOptions(grid_n=400, sweep_cap=3)
-        with pytest.raises(ValueError, match="cap"):
-            sweep(base, [("b", [1.0, 2.0]), ("mu[0]", [1.0, 2.0])], opts)
+        axes = [("b", np.linspace(1.0, 3.0, 50)), ("mu[0]", np.linspace(1.0, 2.0, 41))]
+        with pytest.raises(ValueError, match=f"2050 points, exceeding cap {SWEEP_CAP}"):
+            sweep(base, axes, FAST)
 
     def test_bad_axis_path(self):
         base = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
@@ -224,6 +229,20 @@ class TestMonotonicity:
         assert rep.c_p == pytest.approx(8.0 / (3.0 * 4.0), rel=1e-3)
         assert rep.c_q == pytest.approx(8.0 / (3.0 * 2.5), rel=1e-3)
 
+    def test_projected_q_minimizer_bounds_c_q(self):
+        # the bound monotonicity_check takes for c_p: at every field the
+        # ordered p has no larger quadratic and no smaller quartic part, so
+        # projecting the q-minimizer onto p's Nehari set cannot raise c_q
+        p = ParameterSet.make([0.9, 1.0], [1.2, 1.1], 2.0)
+        q = ParameterSet.make([1.0, 1.3], [1.0, 0.9], 1.5)
+        opts = PhaseOptions(grid_n=600)
+        res_q = ground_state(q, build_grid(p, opts), opts.solver)
+        bound = action_on_nehari(res_q.fields, p)
+        assert bound <= res_q.level * (1.0 + 1e-12)
+        rep = monotonicity_check(p, q, opts)
+        assert rep.c_q == res_q.level
+        assert rep.c_p <= bound
+
     def test_ordering_violations_are_errors(self):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
         q_bad_lam = ParameterSet.make([0.5, 1.0], [1.0, 1.0], 2.0)
@@ -251,7 +270,7 @@ class TestScaling:
 
     def test_coupling_identity(self):
         p = ParameterSet.make([1.0, 1.3], [1.0, 0.8], 2.0)
-        rep = coupling_scaling_identity(p, opts=PhaseOptions(grid_n=600))
+        rep = coupling_scaling_identity(p, PhaseOptions(grid_n=600))
         assert rep.rel_err < 1e-10
 
     def test_rejects_nonpositive_sigma(self):

@@ -165,6 +165,11 @@ class TestReduceSystem:
         with pytest.raises(ValueError, match="at least 2"):
             reduce_system(p, (0,))
 
+    def test_rejects_fractional_group_index(self):
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
+        with pytest.raises(ValueError, match="integer"):
+            reduce_system(p, (0.7, 1))
+
 
 class TestLift:
     def test_symmetric_pair_lift(self):
