@@ -41,8 +41,10 @@ EXIT_WARNINGS = 2
 #: Every top-level key a run config may hold; any other key is an error.
 _CONFIG_KEYS = ("parameters", "grid", "solver", "workers", "sweep", "reduce",
                "output", "check_truncation")
-#: The config sections that must be JSON objects.
-_SECTIONS = ("grid", "solver", "sweep", "reduce", "output")
+#: The config sections, which must be JSON objects, and the keys each may
+#: hold (`SolverOptions.from_json_dict` checks the `solver` keys).
+_SECTIONS = {"grid": ("R", "n"), "solver": None, "sweep": ("axes",),
+             "reduce": ("group",), "output": ("dir",)}
 
 #: `cnls thresholds` row label and the words for a satisfied / failed
 #: condition, per predicate report.
@@ -74,9 +76,13 @@ def _load_config(path):
     unknown = sorted(set(config) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s): {unknown}")
-    for key in _SECTIONS:
-        if not isinstance(config.get(key, {}), dict):
+    for key, known in _SECTIONS.items():
+        section = config.get(key, {})
+        if not isinstance(section, dict):
             raise ValueError(f'"{key}" must be a JSON object')
+        unknown = sorted(set(section) - set(known or section))
+        if unknown:
+            raise ValueError(f'unknown "{key}" key(s): {unknown}')
     axes = config.get("sweep", {}).get("axes", [])
     if not isinstance(axes, list) or not all(
         isinstance(a, dict) and isinstance(a.get("path"), str)
@@ -182,8 +188,7 @@ def cmd_classify(config):
 def cmd_sweep(config):
     p = ParameterSet.from_json_dict(config["parameters"])
     opts = _phase_options(config)
-    axes_cfg = config.get("sweep", {}).get("axes", [])
-    axes = [(a["path"], a["values"]) for a in axes_cfg]
+    axes = [(a["path"], a["values"]) for a in config.get("sweep", {}).get("axes", [])]
     if not axes:
         return cmd_classify(config)
     points = sweep(p, axes, opts)

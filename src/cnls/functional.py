@@ -26,10 +26,6 @@ import numpy as np
 from .grid import MultiField, h1_sq_raw, l4_raw, neg_lap_plus_raw
 from .params import ParameterSet
 
-#: Relative tolerance on the Nehari residual for "on the manifold": a single
-#: closed-form rescaling restores it exactly, so tight is cheap.
-NEHARI_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ActionBreakdown:
@@ -68,9 +64,7 @@ def action_parts_raw(grid, values, p: ParameterSet):
     """Return (quadratic, quartic_self, quartic_cross) for a (d, n+1) array."""
     v2 = values * values
     cross = _coupling_raw(p, v2)
-    quad = 0.0
-    qself = 0.0
-    qcross = 0.0
+    quad = qself = qcross = 0.0
     for i in range(values.shape[0]):
         quad += h1_sq_raw(grid, values[i], float(p.lam[i]))
         qself += float(p.mu[i]) * l4_raw(grid, values[i])
@@ -79,16 +73,15 @@ def action_parts_raw(grid, values, p: ParameterSet):
 
 
 def gradient_raw(grid, values, p: ParameterSet):
-    """Weighted-pairing gradient of the action as a (d, n+1) array."""
+    """Weighted-pairing gradient of the action as a (d, n+1) array; the
+    nonlinear part is built in place (at large n temporaries cost most)."""
     v2 = values * values
-    cross = _coupling_raw(p, v2)
-    out = np.empty_like(values)
-    for i in range(values.shape[0]):
-        g = neg_lap_plus_raw(grid, values[i], float(p.lam[i]))
-        g -= float(p.mu[i]) * values[i] * v2[i]
-        g -= values[i] * cross[i]
-        g[-1] = 0.0
-        out[i] = g
+    nonlin = _coupling_raw(p, v2)
+    nonlin += p.mu[:, None] * v2
+    nonlin *= values
+    out = neg_lap_plus_raw(grid, values, p.lam)
+    out -= nonlin
+    out[:, -1] = 0.0
     return out
 
 

@@ -207,22 +207,22 @@ def mixed_raw(grid, u_values, v_values):
     return float(np.dot(grid.weights, (u_values * u_values) * (v_values * v_values)))
 
 
-def neg_lap_plus_raw(grid, values, lam, out=None):
+def neg_lap_plus_raw(grid, values, lam):
     """Apply -Laplace + lam in the exact weighted-pairing representation.
 
-    Row 0 uses the natural (Neumann) axis closure of the quadratic form;
-    row n is the Dirichlet row and returns 0.
+    ``values`` is one profile (n+1,) with a scalar ``lam``, or a (d, n+1)
+    array with one lam per row.  Node 0 uses the natural (Neumann) axis
+    closure of the quadratic form; node n is the Dirichlet node and returns 0.
     """
     n = grid.n
-    flux = grid.cell_weights * (values[1:] - values[:-1]) / grid.h**2
-    if out is None:
-        out = np.empty(n + 1)
-    out[0] = -flux[0]
-    out[1:n] = flux[: n - 1] - flux[1:n]
-    out[n] = 0.0
+    flux = grid.cell_weights * (values[..., 1:] - values[..., :-1]) / grid.h**2
+    out = np.empty_like(values)
+    out[..., 0] = -flux[..., 0]
+    out[..., 1:n] = flux[..., : n - 1] - flux[..., 1:n]
+    out[..., n] = 0.0
     out /= grid.weights
-    out += lam * values
-    out[n] = 0.0
+    out += np.asarray(lam)[..., None] * values
+    out[..., n] = 0.0
     return out
 
 

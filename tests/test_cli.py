@@ -81,13 +81,21 @@ class TestSolve:
         ("solve", lambda c: c.update(margn_tol=0.5)),
         ("solve", lambda c: c.update(margin_tol=1e-4)),
         ("solve", lambda c: c.update(sweep_cap=3)),
+        ("solve", lambda c: c["grid"].update(nodes=4000)),
+        ("sweep", lambda c: c.update(parameters=PAIR["parameters"],
+                                     sweep={"axes": [{"path": "b", "values": [3.0]}],
+                                            "axis": []})),
+        ("reduce", lambda c: c.update(parameters=PAIR["parameters"],
+                                      reduce={"group": [0, 1], "groups": [[0, 1]]})),
+        ("solve", lambda c: c["output"].update(format="yaml")),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
             "integer-output-dir",
             "string-output-with-dir-flag", "list-solver-with-seed-flag",
             "string-check_truncation", "misspelt-key", "removed-margin_tol",
-            "removed-sweep_cap"])
+            "removed-sweep_cap", "unknown-grid-key", "unknown-sweep-key",
+            "unknown-reduce-key", "unknown-output-key"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
@@ -97,6 +105,12 @@ class TestSolve:
         assert main([command, write_config(tmp_path, cfg), *flags]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_section_key_is_named(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SINGLE))
+        cfg["grid"]["nodes"] = 4000
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == 'error: unknown "grid" key(s): [\'nodes\']\n'
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1

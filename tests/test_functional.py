@@ -7,7 +7,16 @@ from cnls.functional import (
     action_on_nehari,
     nehari_scale,
 )
-from cnls.grid import Field, MultiField, RadialGrid, h1_lambda_sq, l4_quartic, mixed_l2, wdot
+from cnls.grid import (
+    Field,
+    MultiField,
+    RadialGrid,
+    h1_lambda_sq,
+    l4_quartic,
+    mixed_l2,
+    neg_lap_plus_raw,
+    wdot,
+)
 from cnls.params import ParameterSet
 from cnls.solver import soliton_profile
 
@@ -211,6 +220,24 @@ class TestGradient:
         grad = action_gradient(u, p)
         region = g.nodes <= 15.0  # exclude the Dirichlet clamp of the tail
         assert np.abs(grad.values[0][region]).max() < 2e-5
+
+    def test_rows_match_the_per_component_formula(self, grid):
+        # row i: (-Laplace + lam_i) u_i - mu_i u_i^3 - u_i sum_{j != i} b_ij u_j^2
+        rng = np.random.default_rng(5)
+        b = np.array([[0.0, 0.4, 1.3, 2.2], [0.4, 0.0, 0.7, 1.9],
+                      [1.3, 0.7, 0.0, 3.1], [2.2, 1.9, 3.1, 0.0]])
+        p = ParameterSet.make([1.0, 1.7, 0.6, 3.2], [0.9, 1.1, 1.4, 0.8], b)
+        vals = np.array([smooth_bump(grid, rng) for _ in range(4)])
+        got = action_gradient(MultiField(grid, vals), p).values
+        for i in range(4):
+            ref = neg_lap_plus_raw(grid, vals[i], float(p.lam[i]))
+            ref -= float(p.mu[i]) * vals[i] ** 3
+            for j in range(4):
+                if j != i:
+                    ref -= float(b[i, j]) * vals[i] * vals[j] ** 2
+            ref[-1] = 0.0
+            np.testing.assert_allclose(got[i], ref, rtol=1e-14,
+                                       atol=1e-14 * np.abs(ref).max())
 
     def test_directional_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(11)

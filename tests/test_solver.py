@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
+import cnls.solver
 from cnls.functional import action
 from cnls.grid import Field, MultiField, RadialGrid, l4_quartic
 from cnls.params import ParameterSet
@@ -8,6 +10,7 @@ from cnls.solver import (
     THETA_TRIV,
     GroundStateResult,
     SolverOptions,
+    _Descent,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
@@ -113,6 +116,40 @@ class TestCoupledPair:
         rq = ground_state(q, grid)
         assert rp.level == pytest.approx(rq.level, abs=1e-8 * max(1.0, abs(rp.level)))
         assert tuple(sorted(1 - i for i in rq.support)) == rp.support
+
+
+class TestDescent:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_stacked_solve_matches_per_component_cholesky(self, N):
+        # rows scaled 1e8, 1e-8, 1: a nonzero coupling at the first block join
+        # would leak the large block into the small one
+        g = RadialGrid.make(N, 15.0, 500)
+        lam = [1.0, 7.0, 0.3]
+        desc = _Descent(ParameterSet.make(lam, [1.0, 1.0, 1.0], 1.0, N=N), g, SolverOptions())
+        rng = np.random.default_rng(N)
+        grad = rng.standard_normal((3, g.n + 1)) * np.array([[1e8], [1e-8], [1.0]])
+        out = np.zeros_like(grad)
+        decrement = desc._precondition(grad, out)
+        h2, sig, n = g.h**2, g.cell_weights, g.n
+        ref_decrement = 0.0
+        for i in range(3):
+            ab = np.zeros((2, n))
+            ab[0, 1:] = -sig[: n - 1] / h2
+            ab[1, 0] = sig[0] / h2
+            ab[1, 1:] = (sig[: n - 1] + sig[1:n]) / h2
+            ab[1] += lam[i] * g.weights[:n]
+            ref = cho_solve_banded((cholesky_banded(ab), False), g.weights[:n] * grad[i, :n])
+            assert np.linalg.norm(out[i, :n] - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert out[i, n] == 0.0
+            ref_decrement += float(np.dot(g.weights[:n] * grad[i, :n], ref))
+        assert decrement == pytest.approx(ref_decrement, rel=1e-13)
+
+    def test_non_finite_gradient_raises(self, grid, monkeypatch):
+        monkeypatch.setattr(cnls.solver, "gradient_raw",
+                            lambda grid, values, p: np.full_like(values, np.nan))
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
+        with pytest.raises(ValueError):
+            minimize_restricted(p, (0, 1), grid)
 
 
 class TestMinimizeRestricted:
