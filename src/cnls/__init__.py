@@ -44,7 +44,6 @@ from .reduction import (
     sphere_max,
 )
 from .solver import (
-    CertificateReport,
     GroundStateResult,
     SolverOptions,
     ground_state,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionBreakdown",
     "AdmissibilityReport",
-    "CertificateReport",
     "Field",
     "FULLY_NONTRIVIAL",
     "GroundStateResult",

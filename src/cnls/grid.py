@@ -162,9 +162,6 @@ class MultiField:
     def d(self):
         return self.values.shape[0]
 
-    def component(self, i) -> Field:
-        return Field(self.grid, self.values[i])
-
     @classmethod
     def from_fields(cls, fields):
         fields = list(fields)
@@ -224,6 +221,16 @@ def neg_lap_plus_raw(grid, values, lam):
     out += np.asarray(lam)[..., None] * values
     out[..., n] = 0.0
     return out
+
+
+def stiffness_tridiag(grid):
+    """(diag, off) of the n x n tridiagonal matrix K of -Laplace on the free
+    nodes 0..n-1 (the Dirichlet node n is dropped), in the weighted pairing:
+    u^T K u is the gradient part of h1_sq_raw, so K + diag(lam * weights[:n])
+    represents the quadratic form of -Laplace + lam exactly."""
+    n, sig = grid.n, grid.cell_weights
+    diag = np.append(sig[0], sig[: n - 1] + sig[1:n]) / grid.h**2
+    return diag, -sig[: n - 1] / grid.h**2
 
 
 def h1_lambda_sq(u: Field, lam):

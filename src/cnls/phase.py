@@ -6,8 +6,9 @@ semitrivial level and issues one of three verdicts:
   * ``fully_nontrivial`` -- the full minimizer beats the semitrivial level
     by more than the margin tolerance and keeps every component alive;
   * ``semitrivial``      -- the numeric margin is negative, or it is flat
-    and the perturbation certificate fails for every size-(d-1) minimizer
-    and every candidate direction;
+    and the best semitrivial minimizer is stable in every missing slot (the
+    perturbation certificate finds no slot where the linearized operator
+    fails to be positive definite);
   * ``inconclusive``     -- anything else (including solver non-convergence).
 
 Analytic predicates (lambda clustering, coupling spread, the small-coupling
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functional import action_on_nehari
-from .grid import Field, MultiField, RadialGrid, default_radius
+from .grid import MultiField, RadialGrid, default_radius
 from .params import (
     ParameterSet,
     as_float,
@@ -192,20 +193,9 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions()) -> PhaseVerdi
     margin = semi.level - full.level
     margin_abs = MARGIN_TOL * max(abs(semi.level), 1e-300)
 
-    # certificate inventory: every surviving component of every size-(d-1)
-    # minimizer (this includes the smallest-lambda component)
-    certificates = []
-    for subset, res in sorted(semi.results.items()):
-        if len(res.support) != p.d - 1:
-            continue  # sub-minimizer degenerated further; nothing to certify
-        for i in res.support:
-            w = Field(grid, res.fields.values[i])
-            rep = perturbation_certificate(p, res, w)
-            certificates.append(
-                {"subset": list(subset), "w_component": int(i),
-                 "lhs": rep.lhs, "rhs": rep.rhs, "holds": bool(rep.holds)}
-            )
-    certificate_held = any(c["holds"] for c in certificates)
+    # only the best semitrivial minimizer can be the ground state
+    unstable_slots = perturbation_certificate(p, semi.results[semi.best_subset])
+    certificate_held = bool(unstable_slots)
 
     all_alive = len(full.support) == p.d
     sub_converged = all(r.converged for r in semi.results.values())
@@ -226,7 +216,7 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions()) -> PhaseVerdi
             "best_subset": [int(i) for i in semi.best_subset],
             "levels": {str(list(k)): v.level for k, v in sorted(semi.results.items())},
         },
-        "certificates": certificates,
+        "unstable_slots": list(unstable_slots),
         "margin_tol_abs": margin_abs,
         "solver_converged": solver_converged,
         "grid": grid.to_json_dict(),

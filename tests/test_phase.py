@@ -41,6 +41,20 @@ class TestClassify:
         assert not v.certificate_held
         assert abs(v.margin) <= v.diagnostics["margin_tol_abs"]
 
+    @pytest.mark.parametrize(
+        "lam,N,b",
+        [([1.0, 1.5], 2, 1.0), ([1.0, 1.5], 2, 1.2),
+         ([1.0, 2.0], 1, 0.98 * (2.0 + np.sqrt(2.0)) / 2.0)],
+        ids=["N2-b1.0", "N2-b1.2", "N1-asym-0.98bstar"],
+    )
+    def test_only_the_best_semitrivial_minimizer_is_tested(self, lam, N, b):
+        # the higher-level subset (1,) is unstable in slot 0 here, which says
+        # nothing about the ground state; the best subset (0,) is stable
+        v = classify(ParameterSet.make(lam, [1.0, 1.0], b, N=N), PhaseOptions(grid_n=400))
+        assert v.diagnostics["semitrivial"]["best_subset"] == [0]
+        assert v.diagnostics["unstable_slots"] == [] and not v.certificate_held
+        assert v.verdict == SEMITRIVIAL
+
     def test_triple_below_small_coupling_bound(self):
         p = ParameterSet.make([1.0] * 3, [1.0] * 3, 0.3)
         assert 0.3 < small_b_bound(p.mu)

@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 import cnls.solver
 from cnls.functional import action
-from cnls.grid import Field, MultiField, RadialGrid, l4_quartic
+from cnls.grid import Field, MultiField, RadialGrid, l4_quartic, stiffness_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
     THETA_TRIV,
-    GroundStateResult,
     SolverOptions,
     _Descent,
     ground_state,
@@ -79,7 +80,7 @@ class TestSingleEquation:
         bk = action(res.fields, p)
         assert abs(bk.nehari_residual) <= 1e-10 * bk.quadratic
         assert res.level == pytest.approx(bk.action, abs=1e-10)
-        masses = [l4_quartic(res.fields.component(i)) for i in range(p.d)]
+        masses = [l4_quartic(Field(grid, res.fields.values[i])) for i in range(p.d)]
         top = max(masses)
         for i, m in enumerate(masses):
             if i in res.support:
@@ -128,8 +129,11 @@ class TestDescent:
         desc = _Descent(ParameterSet.make(lam, [1.0, 1.0, 1.0], 1.0, N=N), g, SolverOptions())
         rng = np.random.default_rng(N)
         grad = rng.standard_normal((3, g.n + 1)) * np.array([[1e8], [1e-8], [1.0]])
+        grad[:, -1] = 0.0  # as gradient_raw leaves the Dirichlet node
         out = np.zeros_like(grad)
-        decrement = desc._precondition(grad, out)
+        rhs, gnorm = desc._weigh(grad)
+        assert gnorm == pytest.approx(np.sqrt(np.sum((grad * grad) @ g.weights)), rel=1e-13)
+        decrement = desc._precondition(rhs, out)
         h2, sig, n = g.h**2, g.cell_weights, g.n
         ref_decrement = 0.0
         for i in range(3):
@@ -279,16 +283,29 @@ class TestGroundState:
 
 @pytest.fixture(scope="module")
 def semitrivial_pair():
+    """The minimizer (u_0, 0) of the subsystem lambda_0 = mu_0 = 1 on N=1,
+    R=20, n=2000; it does not depend on lambda_1, mu_1 or b."""
     g = RadialGrid.make(1, 20.0, 2000)
-    p1 = ParameterSet.make([1.0], [1.0], 0.0)
-    single = ground_state(p1, g)
-    vals = np.zeros((2, g.n + 1))
-    vals[0] = single.fields.values[0]
-    return g, GroundStateResult(
-        fields=MultiField(g, vals), level=single.level, support=(0,),
-        iterations=single.iterations, grad_norm=single.grad_norm,
-        starts_used=single.starts_used, converged=True,
+    p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
+    return g, minimize_restricted(p, (0,), g)
+
+
+def slot_sigma_min(p, semi, i0):
+    """Lowest eigenvalue of -Laplace + lambda_i0 - sum_i b_{i,i0} u_i^2 in the
+    weighted pairing: the tridiagonal K + W V, scaled by W^(-1/2) on both
+    sides (W = diag(weights)), has the same spectrum as W^-1 (K + W V)."""
+    g = semi.fields.grid
+    n = g.n
+    diag, off = stiffness_tridiag(g)
+    w = g.weights[:n]
+    potential = float(p.lam[i0]) - sum(
+        float(p.b[i, i0]) * semi.fields.values[i, :n] ** 2 for i in semi.support
     )
+    return eigh_tridiagonal(diag / w + potential, off / np.sqrt(w[:-1] * w[1:]),
+                            eigvals_only=True, select="i", select_range=(0, 0))[0]
+
+
+B_STAR = (2.0 + np.sqrt(2.0)) / 2.0
 
 
 class TestPerturbationCertificate:
@@ -296,48 +313,56 @@ class TestPerturbationCertificate:
     def test_holds_at_strong_coupling(self, semitrivial_pair):
         g, semi = semitrivial_pair
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
-        rep = perturbation_certificate(p, semi, Field(g, semi.fields.values[0]))
-        assert rep.holds
-        assert rep.lhs == pytest.approx(16.0 / 3.0, rel=1e-3)
-        assert rep.rhs == pytest.approx(2.0 * 16.0 / 3.0, rel=1e-3)
+        assert perturbation_certificate(p, semi) == (1,)
 
     def test_fails_at_weak_coupling(self, semitrivial_pair):
         g, semi = semitrivial_pair
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.5)
-        rep = perturbation_certificate(p, semi, Field(g, semi.fields.values[0]))
-        assert not rep.holds
-        assert rep.rhs == pytest.approx(0.5 * 16.0 / 3.0, rel=1e-3)
+        assert perturbation_certificate(p, semi) == ()
 
-    def test_scaling_the_candidate_is_free(self, semitrivial_pair):
+    @pytest.mark.parametrize(
+        "lam2,b,expected",
+        [
+            (1.0, 0.5, 0.618),
+            (1.0, 0.999, 1.333e-3),
+            (1.0, 1.001, -1.333e-3),
+            (1.0, 3.0, -3.000),
+            (2.0, 0.98 * B_STAR, 0.0504),
+            (2.0, 1.02 * B_STAR, -0.0505),
+        ],
+        ids=["sym-b0.5", "sym-b0.999", "sym-b1.001", "sym-b3",
+             "asym-0.98bstar", "asym-1.02bstar"],
+    )
+    def test_sigma_min_matches_poschl_teller(self, semitrivial_pair, lam2, b, expected):
+        # with u_0 = sqrt(2) sech r the operator of slot 1 is -d^2/dr^2 +
+        # lam2 - 2b sech^2 r, whose lowest eigenvalue is lam2 - s^2 for
+        # s(s+1) = 2b (Poschl-Teller)
         g, semi = semitrivial_pair
-        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.7)
-        w = semi.fields.values[0]
-        r1 = perturbation_certificate(p, semi, Field(g, w))
-        r2 = perturbation_certificate(p, semi, Field(g, 5.0 * w))
-        assert r1.holds == r2.holds
-        assert r2.lhs == pytest.approx(25.0 * r1.lhs, rel=1e-12)
+        p = ParameterSet.make([1.0, lam2], [1.0, 1.0], b)
+        s = (np.sqrt(1.0 + 8.0 * b) - 1.0) / 2.0
+        analytic = lam2 - s * s
+        assert analytic == pytest.approx(expected, abs=5e-4)
+        sigma = slot_sigma_min(p, semi, 1)
+        assert sigma == pytest.approx(analytic, abs=1e-4)
+        assert perturbation_certificate(p, semi) == ((1,) if sigma < 0 else ())
 
-    def test_rejects_wrong_support_and_zero_candidate(self, semitrivial_pair):
+    def test_tests_every_missing_slot(self, semitrivial_pair):
+        # two missing slots: slot 1 couples above the switch-on value and is
+        # unstable, slot 2 couples weakly and stays stable
         g, semi = semitrivial_pair
-        p3 = ParameterSet.make([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2.0)
         vals = np.zeros((3, g.n + 1))
         vals[0] = semi.fields.values[0]
-        bad = GroundStateResult(
-            fields=MultiField(g, vals), level=semi.level, support=(0,),
-            iterations=1, grad_norm=0.0, starts_used=1, converged=True,
-        )
-        with pytest.raises(ValueError, match="exactly one"):
-            perturbation_certificate(p3, bad, Field(g, vals[0]))
-        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
-        with pytest.raises(ValueError, match="nonzero"):
-            perturbation_certificate(p, semi, Field.zero(g))
+        semi3 = replace(semi, fields=MultiField(g, vals))
+        b = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+        p = ParameterSet.make([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], b)
+        assert perturbation_certificate(p, semi3) == (1,)
+        assert perturbation_certificate(p.replace(b=b * 4.0), semi3) == (1, 2)
 
-    def test_smallest_lambda_candidate_wins_when_coupling_dominates(self):
+    def test_unstable_when_coupling_dominates(self):
         # with the missing lambda no larger than a surviving one and the
-        # coupling above every mu, the surviving component itself certifies
+        # coupling above every mu, switching on the missing slot pays
         g = RadialGrid.make(1, 20.0, 1200)
         p = ParameterSet.make([1.0, 1.2, 1.0], [1.0, 0.9, 1.0], 2.0)
         semi = minimize_restricted(p, (0, 1), g)
         assert semi.support == (0, 1)
-        rep = perturbation_certificate(p, semi, Field(g, semi.fields.values[0]))
-        assert rep.holds
+        assert perturbation_certificate(p, semi) == (2,)
