@@ -20,7 +20,9 @@ so "hypothesis holds" does not pin down a verdict at a given coupling.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,7 @@ from .grid import MultiField, RadialGrid, default_radius
 from .params import (
     ParameterSet,
     as_float,
+    as_int,
     coupling_spread_condition,
     lambda_cluster_condition,
     lambda_tail_condition,
@@ -40,11 +43,12 @@ from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this nam
 from .solver import (
     SolverOptions,
     ground_state,
+    minimize_restricted,
     perturbation_certificate,
     semitrivial_level,
+    semitrivial_subsets,
     soliton_profile,
 )
-from .solver import minimize_restricted  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 FULLY_NONTRIVIAL = "fully_nontrivial"
 SEMITRIVIAL = "semitrivial"
@@ -74,11 +78,11 @@ class PhaseOptions:
     workers: int = 1
 
     def __post_init__(self):
-        if self.grid_n < 100:
+        if as_int(self.grid_n, "grid_n") < 100:
             raise ValueError("grid_n must be >= 100")
-        if self.grid_R is not None and self.grid_R <= 0:
+        if self.grid_R is not None and as_float(self.grid_R, "grid_R") <= 0:
             raise ValueError("grid_R must be > 0")
-        if self.workers < 1:
+        if as_int(self.workers, "workers") < 1:
             raise ValueError("workers must be >= 1")
 
 
@@ -126,9 +130,12 @@ class PhaseVerdict:
         }
 
 
+def _radius(p: ParameterSet, opts: PhaseOptions) -> float:
+    return opts.grid_R if opts.grid_R is not None else default_radius(float(p.lam.min()))
+
+
 def build_grid(p: ParameterSet, opts: PhaseOptions) -> RadialGrid:
-    R = opts.grid_R if opts.grid_R is not None else default_radius(float(p.lam.min()))
-    return RadialGrid.make(p.N, R, opts.grid_n)
+    return RadialGrid.make(p.N, _radius(p, opts), opts.grid_n)
 
 
 def _report(name, numbers, unmet=None, satisfied=False):
@@ -183,12 +190,18 @@ def evaluate_predicates(p: ParameterSet):
     return out
 
 
-def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions()) -> PhaseVerdict:
-    """Classify a parameter set as fully nontrivial / semitrivial / inconclusive."""
+def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
+             restricted=None) -> PhaseVerdict:
+    """Classify a parameter set as fully nontrivial / semitrivial / inconclusive.
+
+    ``restricted`` maps size-(d-1) supports to `minimize_restricted` results
+    already computed for ``p`` on its grid with ``opts.solver`` (`sweep`
+    shares them between points); the other supports are solved here.
+    """
     if p.d < 2:
         raise ValueError("classification needs d >= 2 (no semitrivial side for d=1)")
     grid = build_grid(p, opts)
-    semi = semitrivial_level(p, grid, opts.solver)
+    semi = semitrivial_level(p, grid, opts.solver, restricted)
     full = ground_state(p, grid, opts.solver, semitrivial=semi)
     margin = semi.level - full.level
     margin_abs = MARGIN_TOL * max(abs(semi.level), 1e-300)
@@ -282,20 +295,33 @@ class SweepPoint:
     verdict: PhaseVerdict
 
 
+def _restricted_key(p: ParameterSet, subset, opts: PhaseOptions):
+    """Everything `minimize_restricted` reads for ``subset`` of ``p`` at the
+    fixed options of a sweep: the support (its random starts are seeded by
+    the support), the grid and the exact restricted parameters."""
+    rows = list(subset)
+    return (subset, (p.N, _radius(p, opts), opts.grid_n), p.lam[rows].tobytes(),
+            p.mu[rows].tobytes(), p.b[np.ix_(rows, rows)].tobytes())
+
+
+def _solve_restricted(args):
+    p, subset, opts = args
+    return minimize_restricted(p, subset, build_grid(p, opts), opts.solver)
+
+
 def _classify_sweep_point(args):
-    base, assignments, opts = args
-    p = base
-    for path, value in assignments:
-        p = set_parameter(p, path, value)
-    return classify(p, opts)
+    return classify(*args)
 
 
 def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
     """Classify the cartesian product of the axes (row-major, deterministic).
 
     ``axes`` is a list of (path, values).  With no axes the base point alone
-    is classified.  Points are independent; with ``opts.workers > 1`` they
-    run in a process pool and are emitted in input order regardless.
+    is classified.  A restricted problem of size d-1 that two or more points
+    share (same support, grid and restricted parameters) is solved once,
+    before the points, and its result is handed to each of them.  With
+    ``opts.workers > 1`` both stages run in one process pool, and points are
+    emitted in input order regardless.
     """
     axes = [(str(path), [as_float(v, f"axis {path!r} value") for v in values])
             for path, values in axes]
@@ -313,13 +339,31 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
     points = [[]]
     for axis in grids:
         points = [prev + [entry] for prev in points for entry in axis]
+    params = []
+    for assignments in points:
+        p = base
+        for path, value in assignments:
+            p = set_parameter(p, path, value)
+        params.append(p)
 
-    tasks = [(base, tuple(assignments), opts) for assignments in points]
-    if opts.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=opts.workers) as pool:
-            verdicts = list(pool.map(_classify_sweep_point, tasks))
-    else:
-        verdicts = [_classify_sweep_point(t) for t in tasks]
+    subsets = semitrivial_subsets(base.d) if base.d >= 2 else []  # classify rejects d = 1
+    keys = [{subset: _restricted_key(p, subset, opts) for subset in subsets} for p in params]
+    uses = Counter(key for point_keys in keys for key in point_keys.values())
+    shared = {}  # key -> (p, subset, opts) of the first point that uses it
+    for p, point_keys in zip(params, keys):
+        for subset, key in point_keys.items():
+            if uses[key] > 1:
+                shared.setdefault(key, (p, subset, opts))
+
+    parallel = opts.workers > 1 and len(params) > 1
+    with ProcessPoolExecutor(max_workers=opts.workers) if parallel else nullcontext() as pool:
+        run = pool.map if parallel else map
+        solved = dict(zip(shared, run(_solve_restricted, shared.values())))
+        tasks = [
+            (p, opts, {subset: solved[key] for subset, key in point_keys.items() if key in solved})
+            for p, point_keys in zip(params, keys)
+        ]
+        verdicts = list(run(_classify_sweep_point, tasks))
     return [
         SweepPoint(values=dict(assignments), verdict=v)
         for assignments, v in zip(points, verdicts)

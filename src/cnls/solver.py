@@ -356,19 +356,32 @@ def _better(entry, best):
     return entry[0] < best[0]
 
 
+def semitrivial_subsets(d):
+    """The d supports of size d-1, each listed without its missing index."""
+    return [tuple(i for i in range(d) if i != missing) for missing in range(d)]
+
+
 def semitrivial_level(p: ParameterSet, grid: RadialGrid,
-                      opts: SolverOptions = SolverOptions()) -> SemitrivialResult:
+                      opts: SolverOptions = SolverOptions(),
+                      solved=None) -> SemitrivialResult:
     """Minimum ground-state level over the d supports of size d-1.
 
     Supports of smaller size are dominated by feasible-set inclusion
-    (c(I') <= c(I) for I inside I'), so size d-1 suffices.
+    (c(I') <= c(I) for I inside I'), so size d-1 suffices.  ``solved`` maps
+    supports to `minimize_restricted` results already computed for ``p`` on
+    ``grid`` with ``opts``; the other supports are solved here.
     """
     if p.d < 2:
         raise ValueError("semitrivial levels need d >= 2")
+    solved = solved or {}
     results = {}
-    for missing in range(p.d):
-        subset = tuple(i for i in range(p.d) if i != missing)
-        results[subset] = minimize_restricted(p, subset, grid, opts)
+    for subset in semitrivial_subsets(p.d):
+        res = solved.get(subset)
+        if res is None:
+            res = minimize_restricted(p, subset, grid, opts)
+        elif res.fields.grid.key != grid.key:
+            raise ValueError(f"result for support {subset} was solved on another grid")
+        results[subset] = res
     best_subset = None
     for subset, res in sorted(results.items()):
         if best_subset is None or _better((res.level, subset), (best.level, best_subset)):

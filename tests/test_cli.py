@@ -174,8 +174,8 @@ class TestSweep:
     def test_unconverged_restricted_solve_is_flagged(self, tmp_path, capsys, monkeypatch):
         real_classify = phase.classify
 
-        def classify(p, opts):
-            v = real_classify(p, opts)
+        def classify(p, opts, restricted=None):
+            v = real_classify(p, opts, restricted)
             if p.constant_coupling() != 3.0:
                 return v
             # the full solve converged; only a restricted solve did not
@@ -192,6 +192,31 @@ class TestSweep:
         cfg["workers"] = 1
         assert main(["sweep", write_config(tmp_path, cfg)]) == 2
         assert "(1 flagged)" in capsys.readouterr().out
+
+    def test_unconverged_shared_restricted_solve_flags_every_point(
+            self, tmp_path, capsys, monkeypatch):
+        real_solve = phase.minimize_restricted
+        shared = []
+
+        def minimize_restricted(*args):
+            res = real_solve(*args)
+            shared.append(res.converged)
+            return res
+
+        monkeypatch.setattr(phase, "minimize_restricted", minimize_restricted)
+        cfg = json.loads(json.dumps(PAIR))
+        cfg["parameters"]["lambda"] = [1.0, 1.5]
+        cfg["grid"]["n"] = 300
+        cfg["solver"] = {"max_iterations": 2, "random_starts": 0}
+        cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 1.0, 3.0]}]}
+        cfg["output"] = {"dir": str(tmp_path / "out")}
+        cfg["workers"] = 1
+        assert main(["sweep", write_config(tmp_path, cfg)]) == 2
+        # each single-equation level is solved once and shared by all 3 points
+        assert shared == [False, False]
+        assert "(3 flagged)" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[4] for row in rows] == ["inconclusive"] * 3
 
 
 class TestReduce:

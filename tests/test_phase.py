@@ -1,8 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
+from cnls import phase, solver
 from cnls.functional import action_on_nehari
 from cnls.params import ParameterSet, small_b_bound
 from cnls.phase import (
@@ -11,6 +13,7 @@ from cnls.phase import (
     SEMITRIVIAL,
     SWEEP_CAP,
     PhaseOptions,
+    SweepPoint,
     build_grid,
     classify,
     coupling_scaling_identity,
@@ -26,6 +29,18 @@ from cnls.solver import ground_state
 SINGLE_LEVEL = 4.0 / 3.0
 
 FAST = PhaseOptions(grid_n=600, grid_R=20.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"grid_n": 150.7}, {"grid_n": True}, {"grid_n": "400"},
+     {"workers": 1.5}, {"workers": True}, {"workers": "2"},
+     {"grid_R": True}, {"grid_R": "20"}],
+    ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+)
+def test_phase_options_reject_mistyped_fields(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        PhaseOptions(**kwargs)
 
 
 class TestClassify:
@@ -218,6 +233,75 @@ class TestSweep:
         assert [pt.verdict.numeric_full_level for pt in seq] == [
             pt.verdict.numeric_full_level for pt in par
         ]
+
+
+@pytest.fixture
+def restricted_calls(monkeypatch):
+    """Count `minimize_restricted` calls, both the ones `sweep` shares and the
+    ones `semitrivial_level` makes for a single point."""
+    calls = []
+    real = solver.minimize_restricted
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phase, "minimize_restricted", counted)
+    monkeypatch.setattr(solver, "minimize_restricted", counted)
+    return calls
+
+
+PAIR_B_SWEEP = (ParameterSet.make([1.0, 1.5], [1.0, 1.0], 1.0, N=2),
+                [("b", [0.5, 1.0, 1.5, 2.0, 3.0])])
+TRIPLE_TWO_AXES = (ParameterSet.make([1.0, 1.0, 1.5], [1.0] * 3, 2.0),
+                   [("b[0][1]", [0.5, 2.0]), ("lambda[2]", [0.8, 1.0, 1.5])])
+
+
+class TestSweepSharesRestrictedSolves:
+    def test_pair_b_sweep_solves_each_single_equation_once(self, restricted_calls):
+        base, axes = PAIR_B_SWEEP
+        sweep(base, axes, PhaseOptions(grid_n=300))
+        assert sorted(restricted_calls) == [(0,), (1,)]
+
+    def test_changed_grid_is_a_different_problem(self, restricted_calls):
+        # R = 20/sqrt(lambda_min) follows lambda[2] < 1: nothing is shared
+        base = ParameterSet.make([1.0, 1.0, 1.5], [1.0] * 3, 2.0)
+        axes = [("lambda[2]", [0.6, 0.7, 0.8])]
+        sweep(base, axes, PhaseOptions(grid_n=200))
+        assert len(restricted_calls) == 9
+        # on a fixed radius the support (0, 1) does not see lambda[2]
+        restricted_calls.clear()
+        sweep(base, axes, PhaseOptions(grid_n=200, grid_R=20.0))
+        assert len(restricted_calls) == 7
+        assert restricted_calls.count((0, 1)) == 1
+
+    @pytest.mark.parametrize("case", [PAIR_B_SWEEP, TRIPLE_TWO_AXES], ids=["pair-b", "triple-2axes"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outputs_match_classifying_each_point_alone(self, case, workers):
+        base, axes = case
+        opts = PhaseOptions(grid_n=400)
+        points = sweep(base, axes, PhaseOptions(grid_n=400, workers=workers))
+        alone = []
+        for pt in points:
+            p = base
+            for path, value in pt.values.items():
+                p = set_parameter(p, path, value)
+            alone.append(SweepPoint(values=pt.values, verdict=classify(p, opts)))
+        blobs = []
+        for pts in (points, alone):
+            buf = io.StringIO()
+            write_sweep_csv(pts, axes, buf)
+            blobs.append(buf.getvalue())
+        assert blobs[0] == blobs[1]
+        for a, b in zip(points, alone):
+            assert json.dumps(a.verdict.to_json_dict()) == json.dumps(b.verdict.to_json_dict())
+
+    def test_result_from_another_grid_is_rejected(self):
+        p = ParameterSet.make([1.0, 1.5], [1.0, 1.0], 1.0, N=2)
+        other = build_grid(p, PhaseOptions(grid_n=300, grid_R=15.0))
+        res = solver.minimize_restricted(p, (0,), other)
+        with pytest.raises(ValueError, match="another grid"):
+            classify(p, PhaseOptions(grid_n=300), {(0,): res})
 
 
 class TestMonotonicity:
