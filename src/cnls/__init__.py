@@ -10,7 +10,7 @@ closed-form parameter thresholds as checkable predicates.
 """
 
 from .functional import ActionBreakdown, action, action_gradient, action_on_nehari, nehari_scale
-from .grid import Field, MultiField, RadialGrid, apply_neg_laplacian_plus, default_radius, h1_lambda_sq, l4_quartic, mixed_l2
+from .grid import MultiField, RadialGrid, default_radius
 from .params import (
     AdmissibilityReport,
     ParameterSet,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionBreakdown",
     "AdmissibilityReport",
-    "Field",
     "FULLY_NONTRIVIAL",
     "GroundStateResult",
     "INCONCLUSIVE",
@@ -75,21 +74,17 @@ __all__ = [
     "action_gradient",
     "action_on_nehari",
     "alpha_threshold",
-    "apply_neg_laplacian_plus",
     "brute_force_sphere_max",
     "classify",
     "coupling_spread_condition",
     "default_radius",
     "f_eval",
     "ground_state",
-    "h1_lambda_sq",
     "is_alpha_admissible",
-    "l4_quartic",
     "lambda_cluster_condition",
     "lambda_tail_condition",
     "lift_ground_state",
     "minimize_restricted",
-    "mixed_l2",
     "monotonicity_check",
     "nehari_scale",
     "perturbation_certificate",

@@ -11,9 +11,12 @@ r^(N-1) measure (closed-form cell moments), so the sum of weights equals
 the volume of the ball to machine precision for every N; for N = 1 they
 reduce to the classic trapezoid rule with a half-weight axis node.  The
 gradient part of the H^1 norm uses the matching piecewise-constant
-derivative against the same measure, which makes `apply_neg_laplacian_plus`
-the exact representation of the quadratic form in the weighted pairing:
-<Au, u>_w == h1_lambda_sq(u, lam) up to roundoff.
+derivative against the same measure, which makes `neg_lap_plus_raw` the
+exact representation of the quadratic form in the weighted pairing:
+<Au, u>_w == h1_sq_raw(grid, u, lam) up to roundoff.
+
+The unknown u = (u_1, ..., u_d) is a `MultiField`, or a bare (d, n+1) array
+on the hot path; the kernels below take bare arrays.
 """
 
 from __future__ import annotations
@@ -86,10 +89,9 @@ class RadialGrid:
         weights = np.zeros(n + 1)
         weights[:-1] += s * (b * m0 - m1) / h
         weights[1:] += s * (m1 - a * m0) / h
-        if _FAULT_WEIGHT_SCALE:
-            weights = weights * (1.0 + _FAULT_WEIGHT_SCALE)
         cell_weights = s * m0
         if _FAULT_WEIGHT_SCALE:
+            weights = weights * (1.0 + _FAULT_WEIGHT_SCALE)
             cell_weights = cell_weights * (1.0 + _FAULT_WEIGHT_SCALE)
         for arr in (nodes, weights, cell_weights):
             arr.flags.writeable = False
@@ -102,40 +104,6 @@ class RadialGrid:
 
     def to_json_dict(self):
         return {"N": self.N, "R": self.R, "n": self.n}
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls.make(obj["N"], obj["R"], obj["n"])
-
-
-def _check_same_grid(a, b):
-    if a.key != b.key:
-        raise ValueError(f"mismatched grids: {a.key} vs {b.key}")
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """A single radial profile on a grid; zero at r = R, finite everywhere."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1,):
-            raise ValueError(
-                f"field needs {self.grid.n + 1} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        if values[-1] != 0.0:
-            raise ValueError("field must vanish at r = R (Dirichlet boundary)")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid, np.zeros(grid.n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,24 +131,12 @@ class MultiField:
         return self.values.shape[0]
 
     @classmethod
-    def from_fields(cls, fields):
-        fields = list(fields)
-        if not fields:
-            raise ValueError("need at least one field")
-        grid = fields[0].grid
-        for f in fields[1:]:
-            _check_same_grid(grid, f.grid)
-        return cls(grid, np.stack([f.values for f in fields]))
-
-    @classmethod
     def zero(cls, grid, d):
         return cls(grid, np.zeros((d, grid.n + 1)))
 
 
 # --------------------------------------------------------------------------
-# Quadrature kernels.  The *_raw functions operate on bare arrays and are the
-# hot path shared by the functional and the solver; the Field wrappers add
-# validation for public use.
+# Quadrature kernels on bare arrays, shared by the functional and the solver.
 # --------------------------------------------------------------------------
 
 def wdot(grid, a, b):
@@ -189,6 +145,7 @@ def wdot(grid, a, b):
 
 
 def h1_sq_raw(grid, values, lam):
+    """Discrete integral of |u'|^2 + lam*u^2 (weighted by s_N r^(N-1))."""
     du = (values[1:] - values[:-1]) / grid.h
     stiff = float(np.dot(grid.cell_weights, du * du))
     mass = float(np.dot(grid.weights, values * values))
@@ -196,12 +153,9 @@ def h1_sq_raw(grid, values, lam):
 
 
 def l4_raw(grid, values):
+    """Discrete integral of u^4."""
     v2 = values * values
     return float(np.dot(grid.weights, v2 * v2))
-
-
-def mixed_raw(grid, u_values, v_values):
-    return float(np.dot(grid.weights, (u_values * u_values) * (v_values * v_values)))
 
 
 def neg_lap_plus_raw(grid, values, lam):
@@ -231,40 +185,6 @@ def stiffness_tridiag(grid):
     n, sig = grid.n, grid.cell_weights
     diag = np.append(sig[0], sig[: n - 1] + sig[1:n]) / grid.h**2
     return diag, -sig[: n - 1] / grid.h**2
-
-
-def h1_lambda_sq(u: Field, lam):
-    """Discrete integral of |u'|^2 + lam*u^2 (weighted by s_N r^(N-1)).
-
-    Quadratic under scaling and zero only for the zero field.
-    """
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    return h1_sq_raw(u.grid, u.values, float(lam))
-
-
-def l4_quartic(u: Field):
-    """Discrete integral of u^4."""
-    return l4_raw(u.grid, u.values)
-
-
-def mixed_l2(u: Field, v: Field):
-    """Discrete integral of u^2 v^2 (fields must share a grid)."""
-    _check_same_grid(u.grid, v.grid)
-    return mixed_raw(u.grid, u.values, v.values)
-
-
-def apply_neg_laplacian_plus(u: Field, lam) -> Field:
-    """-u'' - ((N-1)/r) u' + lam*u with the axis and Dirichlet closures.
-
-    The returned field is the gradient of (1/2)*h1_lambda_sq in the weighted
-    pairing, so <apply(u), u>_w equals h1_lambda_sq(u, lam) to roundoff.
-    Pointwise it is an O(h^2) approximation away from the axis; at the first
-    few nodes next to r = 0 (for N >= 2) it is consistent in the variational
-    sense only.
-    """
-    out = neg_lap_plus_raw(u.grid, u.values, float(lam))
-    return Field(u.grid, out)
 
 
 def write_profiles_csv(mf: MultiField, fobj, meta=None):

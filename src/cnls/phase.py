@@ -19,6 +19,8 @@ so "hypothesis holds" does not pin down a verdict at a given coupling.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -329,16 +331,11 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
         if not values:
             raise ValueError(f"axis {path!r} has no values")
         set_parameter(base, path, values[0])  # validates the path early
-    total = 1
-    for _, values in axes:
-        total *= len(values)
+    total = math.prod(len(values) for _, values in axes)
     if total > SWEEP_CAP:
         raise ValueError(f"sweep has {total} points, exceeding cap {SWEEP_CAP}")
 
-    grids = [[(path, v) for v in values] for path, values in axes]
-    points = [[]]
-    for axis in grids:
-        points = [prev + [entry] for prev in points for entry in axis]
+    points = list(itertools.product(*[[(path, v) for v in values] for path, values in axes]))
     params = []
     for assignments in points:
         p = base

@@ -35,13 +35,17 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw
 from .grid import MultiField, RadialGrid, l4_raw, stiffness_tridiag
-from .params import ParameterSet, as_float, as_int, index_set
+from .params import ParameterSet, as_int, index_set
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 #: Two multistart results count as the same level when they agree within this
 #: relative tolerance; distinct supports at equal level are reported as
 #: alternates (uniqueness of minimizers is not guaranteed).
 LEVEL_TIE_TOL = 1e-8
+
+#: A descent has converged when the weighted norm of its gradient is at most
+#: GRAD_TOL * max(1, 4 * level) (see `_Descent.passes`).
+GRAD_TOL = 1e-7
 
 #: Armijo backtracking: first trial step, step shrink factor and
 #: sufficient-decrease constant.
@@ -64,7 +68,6 @@ class SolverOptions:
     """Descent and multistart controls."""
 
     max_iterations: int = 3000
-    grad_tol: float = 1e-7
     random_starts: int = 2
     seed: int = 12345
 
@@ -73,8 +76,6 @@ class SolverOptions:
             as_int(getattr(self, name), name)
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be > 0")
-        if as_float(self.grad_tol, "grad_tol") <= 0:
-            raise ValueError("grad_tol must be > 0")
         if self.random_starts < 0:
             raise ValueError("random_starts must be >= 0")
 
@@ -208,6 +209,12 @@ class _Descent:
         rhs = np.multiply(self.grid.weights[:n], free, out=self._rhs)
         return rhs, float(np.sqrt(np.einsum("ij,ij->", rhs, free)))
 
+    @staticmethod
+    def passes(gnorm, level, factor=1.0):
+        """The convergence test: gradient norm at most factor * GRAD_TOL
+        times max(1, 4 * level)."""
+        return gnorm <= factor * GRAD_TOL * max(1.0, 4.0 * level)
+
     def run(self, u0):
         """Projected, preconditioned descent from u0 (clamped nonnegative,
         zero at the outer node).
@@ -234,7 +241,7 @@ class _Descent:
             rhs, gnorm = self._weigh(grad)
             if not np.isfinite(gnorm):
                 raise ValueError("descent gradient is not finite")
-            if gnorm <= opts.grad_tol * max(1.0, 4.0 * phi):
+            if self.passes(gnorm, phi):
                 converged = True
                 break
             decrement = self._precondition(rhs, direction)
@@ -254,7 +261,7 @@ class _Descent:
                 # backtracking hit the roundoff floor of the merit function;
                 # count it as converged when the gradient is within a small
                 # factor of the tolerance (value error scales as gnorm^2)
-                converged = gnorm <= 10.0 * opts.grad_tol * max(1.0, 4.0 * phi)
+                converged = self.passes(gnorm, phi, 10.0)
                 break
             step = min(INITIAL_STEP, alpha / BACKTRACK_FACTOR)
         return u, iterations, gnorm, converged
@@ -289,6 +296,9 @@ def _run_starts(desc: _Descent, starts) -> GroundStateResult:
         runs += 1
         values, iterations, gnorm, converged = out
         values, level, sup, gnorm = desc.finalize(values)
+        # finalize may zero a slowly decaying component, which leaves a field
+        # that passes the test the descent itself never reached
+        converged = converged or desc.passes(gnorm, level)
         entry = (level, sup, values, iterations, gnorm, converged)
         if best is None or _better(entry, best):
             best = entry

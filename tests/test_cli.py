@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from cnls import phase
+from cnls import cli, phase
 from cnls.cli import main
 
 SINGLE = {
@@ -25,6 +27,16 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    config = cli._load_config(write_config(tmp_path, json.loads(blocks[0])))
+    opts = cli._phase_options(config)
+    assert opts.grid_n == config["grid"]["n"]
+    assert opts.solver.seed == config["solver"]["seed"]
 
 
 class TestSolve:
@@ -81,6 +93,7 @@ class TestSolve:
         ("solve", lambda c: c.update(margn_tol=0.5)),
         ("solve", lambda c: c.update(margin_tol=1e-4)),
         ("solve", lambda c: c.update(sweep_cap=3)),
+        ("solve", lambda c: c["solver"].update(grad_tol=1e-7)),
         ("solve", lambda c: c["grid"].update(nodes=4000)),
         ("sweep", lambda c: c.update(parameters=PAIR["parameters"],
                                      sweep={"axes": [{"path": "b", "values": [3.0]}],
@@ -94,7 +107,7 @@ class TestSolve:
             "integer-output-dir",
             "string-output-with-dir-flag", "list-solver-with-seed-flag",
             "string-check_truncation", "misspelt-key", "removed-margin_tol",
-            "removed-sweep_cap", "unknown-grid-key", "unknown-sweep-key",
+            "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
             "unknown-reduce-key", "unknown-output-key"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
         monkeypatch.chdir(tmp_path)

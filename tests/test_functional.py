@@ -8,12 +8,10 @@ from cnls.functional import (
     nehari_scale,
 )
 from cnls.grid import (
-    Field,
     MultiField,
     RadialGrid,
-    h1_lambda_sq,
-    l4_quartic,
-    mixed_l2,
+    h1_sq_raw,
+    l4_raw,
     neg_lap_plus_raw,
     wdot,
 )
@@ -137,11 +135,10 @@ class TestNehariScale:
         full = MultiField(grid, np.vstack([pair, theta * w[None, :]]))
         t = nehari_scale(full, p3)
 
-        wf = Field(grid, w)
-        S = sum(h1_lambda_sq(Field(grid, pair[i]), [1.0, 1.2][i]) for i in range(2))
-        C1 = h1_lambda_sq(wf, 0.9) / S
-        C2 = l4_quartic(wf) / S
-        D = [mixed_l2(Field(grid, pair[i]), wf) / S for i in range(2)]
+        S = sum(h1_sq_raw(grid, pair[i], [1.0, 1.2][i]) for i in range(2))
+        C1 = h1_sq_raw(grid, w, 0.9) / S
+        C2 = l4_raw(grid, w) / S
+        D = [wdot(grid, pair[i] ** 2, w**2) / S for i in range(2)]
         t2_formula = (1 + theta**2 * C1) / (
             1 + 1.1 * theta**4 * C2 + 2 * b * theta**2 * sum(D)
         )

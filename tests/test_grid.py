@@ -3,19 +3,19 @@ import io
 import numpy as np
 import pytest
 
+from cnls.functional import action_parts_raw
 from cnls.grid import (
-    Field,
     MultiField,
     RadialGrid,
-    apply_neg_laplacian_plus,
     ball_volume,
     default_radius,
-    h1_lambda_sq,
-    l4_quartic,
-    mixed_l2,
+    h1_sq_raw,
+    l4_raw,
+    neg_lap_plus_raw,
     wdot,
     write_profiles_csv,
 )
+from cnls.params import ParameterSet
 
 SOLITON_H1 = 16.0 / 3.0  # ||sqrt(2) sech||^2_1 = int u^4 for the N=1 soliton
 
@@ -23,7 +23,14 @@ SOLITON_H1 = 16.0 / 3.0  # ||sqrt(2) sech||^2_1 = int u^4 for the N=1 soliton
 def sech_field(grid, scale=1.0):
     vals = scale * np.sqrt(2.0) / np.cosh(grid.nodes)
     vals[-1] = 0.0
-    return Field(grid, vals)
+    return vals
+
+
+def cross_quartic(grid, u, v):
+    """The coupling quartic int u^2 v^2 as the functional computes it: half
+    the cross part of a pair with b = 1."""
+    p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0, N=grid.N)
+    return action_parts_raw(grid, np.array([u, v]), p)[2] / 2.0
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -53,7 +60,7 @@ def test_default_radius():
 
 def test_grid_reconstructs_from_metadata():
     g = RadialGrid.make(3, 12.5, 640)
-    g2 = RadialGrid.from_json_dict(g.to_json_dict())
+    g2 = RadialGrid.make(**g.to_json_dict())
     assert g2.key == g.key
     assert np.array_equal(g2.weights, g.weights)
 
@@ -61,33 +68,36 @@ def test_grid_reconstructs_from_metadata():
 def test_field_invariants():
     g = RadialGrid.make(1, 5.0, 50)
     with pytest.raises(ValueError, match="vanish"):
-        Field(g, np.ones(51))
-    bad = np.zeros(51)
-    bad[3] = np.nan
+        MultiField(g, np.ones((2, 51)))
+    bad = np.zeros((2, 51))
+    bad[1, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        Field(g, bad)
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(7))
+        MultiField(g, bad)
+    for shape in [(2, 7), (51,), (1, 2, 51)]:
+        with pytest.raises(ValueError, match="shape"):
+            MultiField(g, np.zeros(shape))
 
 
 def test_multifield_shares_grid_and_checks_boundary():
     g = RadialGrid.make(1, 5.0, 50)
-    g2 = RadialGrid.make(1, 5.0, 60)
-    f = Field.zero(g)
-    with pytest.raises(ValueError, match="mismatched"):
-        MultiField.from_fields([f, Field.zero(g2)])
-    mf = MultiField.from_fields([f, f])
+    mf = MultiField.zero(g, 2)
     assert mf.d == 2
+    assert mf.grid is g
+    assert not mf.values.flags.writeable
+    vals = np.zeros((3, 51))
+    vals[2, -1] = 1e-300  # one component off the boundary value is enough
+    with pytest.raises(ValueError, match="vanish"):
+        MultiField(g, vals)
 
 
 class TestH1:
     def test_zero_field(self):
         g = RadialGrid.make(1, 10.0, 200)
-        assert h1_lambda_sq(Field.zero(g), 1.0) == 0.0
+        assert h1_sq_raw(g, np.zeros(201), 1.0) == 0.0
 
     def test_soliton_identity(self):
         g = RadialGrid.make(1, 20.0, 4000)
-        val = h1_lambda_sq(sech_field(g), 1.0)
+        val = h1_sq_raw(g, sech_field(g), 1.0)
         assert val == pytest.approx(SOLITON_H1, rel=1e-3)
 
     def test_quadratic_scaling_exact(self):
@@ -95,58 +105,35 @@ class TestH1:
         rng = np.random.default_rng(5)
         vals = rng.standard_normal(501)
         vals[-1] = 0.0
-        u = Field(g, vals)
-        cu = Field(g, 3.7 * vals)
-        assert h1_lambda_sq(cu, 2.0) == pytest.approx(
-            3.7**2 * h1_lambda_sq(u, 2.0), rel=1e-12
+        assert h1_sq_raw(g, 3.7 * vals, 2.0) == pytest.approx(
+            3.7**2 * h1_sq_raw(g, vals, 2.0), rel=1e-12
         )
-
-    def test_rejects_nonpositive_lambda(self):
-        g = RadialGrid.make(1, 10.0, 100)
-        with pytest.raises(ValueError):
-            h1_lambda_sq(Field.zero(g), 0.0)
 
     def test_positive_definite(self):
         g = RadialGrid.make(3, 8.0, 120)
         vals = np.zeros(121)
         vals[0] = 1.0  # axis-only bump still has energy
-        assert h1_lambda_sq(Field(g, vals), 1.0) > 0
+        assert h1_sq_raw(g, vals, 1.0) > 0
 
 
 class TestQuartics:
     def test_zero(self):
         g = RadialGrid.make(1, 10.0, 100)
-        z = Field.zero(g)
-        assert l4_quartic(z) == 0.0
-        assert mixed_l2(z, z) == 0.0
+        z = np.zeros(101)
+        assert l4_raw(g, z) == 0.0
+        assert cross_quartic(g, z, z) == 0.0
 
     def test_soliton_quartic(self):
         g = RadialGrid.make(1, 20.0, 4000)
-        assert l4_quartic(sech_field(g)) == pytest.approx(SOLITON_H1, rel=1e-3)
+        assert l4_raw(g, sech_field(g)) == pytest.approx(SOLITON_H1, rel=1e-3)
 
     def test_mixed_coincides_with_quartic_on_diagonal(self):
         g = RadialGrid.make(2, 9.0, 300)
         rng = np.random.default_rng(8)
         vals = rng.standard_normal(301)
         vals[-1] = 0.0
-        u = Field(g, vals)
-        assert abs(mixed_l2(u, u) - l4_quartic(u)) <= 1e-14 * max(1.0, l4_quartic(u))
-
-    def test_cauchy_schwarz(self):
-        g = RadialGrid.make(1, 15.0, 400)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a = rng.standard_normal(401)
-            b = rng.standard_normal(401)
-            a[-1] = b[-1] = 0.0
-            u, v = Field(g, a), Field(g, b)
-            assert mixed_l2(u, v) <= np.sqrt(l4_quartic(u) * l4_quartic(v)) * (1 + 1e-12)
-
-    def test_mismatched_grids(self):
-        u = Field.zero(RadialGrid.make(1, 10.0, 100))
-        v = Field.zero(RadialGrid.make(1, 10.0, 120))
-        with pytest.raises(ValueError, match="mismatched"):
-            mixed_l2(u, v)
+        l4 = l4_raw(g, vals)
+        assert abs(cross_quartic(g, vals, vals) - l4) <= 1e-14 * max(1.0, l4)
 
     def test_homogeneity_degrees(self):
         g = RadialGrid.make(3, 9.0, 250)
@@ -154,17 +141,18 @@ class TestQuartics:
         a = rng.standard_normal(251)
         b = rng.standard_normal(251)
         a[-1] = b[-1] = 0.0
-        u, v = Field(g, a), Field(g, b)
         c = 1.37
-        assert l4_quartic(Field(g, c * a)) == pytest.approx(c**4 * l4_quartic(u), rel=1e-12)
-        assert mixed_l2(Field(g, c * a), v) == pytest.approx(c**2 * mixed_l2(u, v), rel=1e-12)
+        assert l4_raw(g, c * a) == pytest.approx(c**4 * l4_raw(g, a), rel=1e-12)
+        assert cross_quartic(g, c * a, b) == pytest.approx(
+            c**2 * cross_quartic(g, a, b), rel=1e-12
+        )
 
 
 class TestOperator:
     def test_zero_field(self):
         g = RadialGrid.make(2, 10.0, 100)
-        out = apply_neg_laplacian_plus(Field.zero(g), 1.0)
-        assert np.all(out.values == 0.0)
+        out = neg_lap_plus_raw(g, np.zeros(101), 1.0)
+        assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_bilinear_form_matches_h1_exactly(self, N):
@@ -173,10 +161,9 @@ class TestOperator:
         g = RadialGrid.make(N, 15.0, 3000)
         vals = np.exp(-0.3 * (g.nodes - 3.0) ** 2) * (1.0 - (g.nodes / g.R) ** 2)
         vals[-1] = 0.0
-        u = Field(g, vals)
         lam = 1.3
-        pair = wdot(g, apply_neg_laplacian_plus(u, lam).values, u.values)
-        assert pair == pytest.approx(h1_lambda_sq(u, lam), rel=1e-12)
+        pair = wdot(g, neg_lap_plus_raw(g, vals, lam), vals)
+        assert pair == pytest.approx(h1_sq_raw(g, vals, lam), rel=1e-12)
 
     def test_soliton_residual_second_order(self):
         # -u'' + u - u^3 = 0 for the exact soliton; the discrete residual is
@@ -187,7 +174,7 @@ class TestOperator:
         for n in (4000, 8000):
             g = RadialGrid.make(1, 20.0, n)
             u = sech_field(g)
-            res = apply_neg_laplacian_plus(u, 1.0).values - u.values**3
+            res = neg_lap_plus_raw(g, u, 1.0) - u**3
             region = g.nodes <= 15.0
             sups.append(np.abs(res[region]).max())
         assert sups[0] < 2e-5
@@ -204,9 +191,8 @@ class TestOperator:
             vals[1:] = np.sin(k * g.nodes[1:]) / g.nodes[1:]
             vals[0] = k
             vals[-1] = 0.0
-            u = Field(g, vals)
-            out = apply_neg_laplacian_plus(u, 0.0)
-            err = np.abs(out.values - k**2 * vals)
+            out = neg_lap_plus_raw(g, vals, 0.0)
+            err = np.abs(out - k**2 * vals)
             region = (g.nodes >= 0.5) & (g.nodes < R)
             sups.append(err[region].max())
         assert sups[0] < 1e-6
@@ -218,7 +204,7 @@ class TestRefinementConvergence:
         errs = []
         for n in (1000, 2000, 4000):
             g = RadialGrid.make(1, 20.0, n)
-            errs.append(abs(h1_lambda_sq(sech_field(g), 1.0) - SOLITON_H1))
+            errs.append(abs(h1_sq_raw(g, sech_field(g), 1.0) - SOLITON_H1))
         for a, b in zip(errs, errs[1:]):
             assert 3.5 < a / b < 4.5
 
@@ -230,7 +216,7 @@ class TestRefinementConvergence:
             g = RadialGrid.make(1, 20.0, n)
             vals = np.exp(-g.nodes)
             vals[-1] = 0.0
-            errs.append(abs(l4_quartic(Field(g, vals)) - 0.5))
+            errs.append(abs(l4_raw(g, vals) - 0.5))
         for a, b in zip(errs, errs[1:]):
             assert 3.5 < a / b < 4.5
 
@@ -238,7 +224,7 @@ class TestRefinementConvergence:
         # even smooth decay: trapezoid quadrature error is below roundoff
         for n in (1000, 4000):
             g = RadialGrid.make(1, 20.0, n)
-            assert abs(l4_quartic(sech_field(g)) - SOLITON_H1) < 1e-12
+            assert abs(l4_raw(g, sech_field(g)) - SOLITON_H1) < 1e-12
 
 
 def test_profiles_csv_writer():

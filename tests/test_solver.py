@@ -6,12 +6,13 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 import cnls.solver
 from cnls.functional import action
-from cnls.grid import Field, MultiField, RadialGrid, l4_quartic, stiffness_tridiag
+from cnls.grid import MultiField, RadialGrid, l4_raw, stiffness_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
     THETA_TRIV,
     SolverOptions,
     _Descent,
+    _run_starts,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
@@ -41,7 +42,7 @@ class TestSolverOptions:
             {"max_iterations": 0},
             {"max_iterations": 2.5},
             {"seed": "12345"},
-            {"grad_tol": -1.0},
+            {"random_starts": True},
             {"random_starts": -1},
         ],
     )
@@ -80,7 +81,7 @@ class TestSingleEquation:
         bk = action(res.fields, p)
         assert abs(bk.nehari_residual) <= 1e-10 * bk.quadratic
         assert res.level == pytest.approx(bk.action, abs=1e-10)
-        masses = [l4_quartic(Field(grid, res.fields.values[i])) for i in range(p.d)]
+        masses = [l4_raw(grid, res.fields.values[i]) for i in range(p.d)]
         top = max(masses)
         for i, m in enumerate(masses):
             if i in res.support:
@@ -154,6 +155,26 @@ class TestDescent:
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
         with pytest.raises(ValueError):
             minimize_restricted(p, (0, 1), grid)
+
+    @pytest.mark.parametrize("run_converged, final_gnorm, converged", [
+        (False, 1e-13, True),   # finalize zeroed the slow component: converged
+        (False, 1e-5, False),   # still above GRAD_TOL after finalize
+        (True, 1e-5, True),     # a converged start is never downgraded
+    ])
+    def test_converged_agrees_with_the_reported_gradient(self, grid, run_converged,
+                                                          final_gnorm, converged):
+        class Stub(_Descent):
+            def run(self, u0):
+                return u0, 3000, 1.8e-5, run_converged
+
+            def finalize(self, values):
+                return values, 1.0, (0,), final_gnorm
+
+        p = ParameterSet.make([1.0], [1.0], 0.0)
+        start = soliton_profile(grid, 1.0, 1.0)[None, :]
+        res = _run_starts(Stub(p, grid, SolverOptions()), [start])
+        assert res.grad_norm == final_gnorm
+        assert res.converged is converged
 
 
 class TestMinimizeRestricted:
