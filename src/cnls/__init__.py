@@ -30,8 +30,6 @@ from .phase import (
     PhaseOptions,
     PhaseVerdict,
     classify,
-    monotonicity_check,
-    scaling_check,
     sweep,
 )
 from .reduction import (
@@ -85,11 +83,9 @@ __all__ = [
     "lambda_tail_condition",
     "lift_ground_state",
     "minimize_restricted",
-    "monotonicity_check",
     "nehari_scale",
     "perturbation_certificate",
     "reduce_system",
-    "scaling_check",
     "semitrivial_level",
     "small_b_bound",
     "sphere_max",

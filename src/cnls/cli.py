@@ -85,11 +85,12 @@ def _load_config(path):
             raise ValueError(f'unknown "{key}" key(s): {unknown}')
     axes = config.get("sweep", {}).get("axes", [])
     if not isinstance(axes, list) or not all(
-        isinstance(a, dict) and isinstance(a.get("path"), str)
-        and isinstance(a.get("values"), list)
+        isinstance(a, dict) and set(a) == {"path", "values"}
+        and isinstance(a["path"], str) and isinstance(a["values"], list)
         for a in axes
     ):
-        raise ValueError('"sweep.axes" must be a list of {"path": string, "values": list}')
+        raise ValueError('"sweep.axes" must be a list of {"path": string, "values": list}'
+                         " objects with no other keys")
     if not isinstance(config.get("output", {}).get("dir", "."), str):
         raise ValueError('"output.dir" must be a string')
     if not isinstance(config.get("check_truncation", False), bool):

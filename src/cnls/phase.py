@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functional import action_on_nehari
-from .grid import MultiField, RadialGrid, default_radius
+from .grid import RadialGrid, default_radius
 from .params import (
     ParameterSet,
     as_float,
@@ -49,7 +48,6 @@ from .solver import (
     perturbation_certificate,
     semitrivial_level,
     semitrivial_subsets,
-    soliton_profile,
 )
 
 FULLY_NONTRIVIAL = "fully_nontrivial"
@@ -58,16 +56,15 @@ INCONCLUSIVE = "inconclusive"
 
 PREDICATE_NAMES = ("lambda_tail", "lambda_cluster", "coupling_spread", "small_coupling")
 
-#: Slack in the monotonicity inequality c_p <= c_q, above the solver's level
-#: noise at the default resolution.
-MONOTONICITY_TOL = 1e-6
-
 #: Decision margin of `classify`, relative to the semitrivial level; safely
 #: above the solver's discretization noise at the default resolution.
 MARGIN_TOL = 1e-4
 
 #: Largest number of points one `sweep` may classify.
 SWEEP_CAP = 2000
+
+#: Largest sweep process pool; a `fork` pool starts all its workers at once.
+WORKERS_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ class PhaseOptions:
             raise ValueError("grid_n must be >= 100")
         if self.grid_R is not None and as_float(self.grid_R, "grid_R") <= 0:
             raise ValueError("grid_R must be > 0")
-        if as_int(self.workers, "workers") < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= as_int(self.workers, "workers") <= WORKERS_CAP:
+            raise ValueError(f"workers must be between 1 and {WORKERS_CAP}")
 
 
 @dataclass(frozen=True)
@@ -318,15 +315,19 @@ def _classify_sweep_point(args):
 def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
     """Classify the cartesian product of the axes (row-major, deterministic).
 
-    ``axes`` is a list of (path, values).  With no axes the base point alone
-    is classified.  A restricted problem of size d-1 that two or more points
-    share (same support, grid and restricted parameters) is solved once,
-    before the points, and its result is handed to each of them.  With
-    ``opts.workers > 1`` both stages run in one process pool, and points are
-    emitted in input order regardless.
+    ``axes`` is a list of (path, values) with distinct paths (each path is
+    one CSV column).  With no axes the base point alone is classified.  A
+    restricted problem of size d-1 that two or more points share (same
+    support, grid and restricted parameters) is solved once, before the
+    points, and its result is handed to each of them.  With
+    ``opts.workers > 1`` both stages run in one process pool of at most one
+    worker per point, and points are emitted in input order regardless.
     """
     axes = [(str(path), [as_float(v, f"axis {path!r} value") for v in values])
             for path, values in axes]
+    repeated = sorted(path for path, n in Counter(path for path, _ in axes).items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated axis path(s): {repeated}")
     for path, values in axes:
         if not values:
             raise ValueError(f"axis {path!r} has no values")
@@ -352,8 +353,9 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
             if uses[key] > 1:
                 shared.setdefault(key, (p, subset, opts))
 
-    parallel = opts.workers > 1 and len(params) > 1
-    with ProcessPoolExecutor(max_workers=opts.workers) if parallel else nullcontext() as pool:
+    pool_size = min(opts.workers, len(params))
+    parallel = pool_size > 1
+    with ProcessPoolExecutor(max_workers=pool_size) if parallel else nullcontext() as pool:
         run = pool.map if parallel else map
         solved = dict(zip(shared, run(_solve_restricted, shared.values())))
         tasks = [
@@ -391,99 +393,3 @@ def write_sweep_csv(points, axes, fobj, meta=None):
             rep = v.predicates[name]
             row.append(str(rep.satisfied).lower() if rep.applicable else "n/a")
         fobj.write(",".join(row) + "\n")
-
-
-# --------------------------------------------------------------------------
-# Scaling and monotonicity checks
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    c_p: float
-    c_q: float
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    lhs: float
-    rhs: float
-    rel_err: float
-
-
-def monotonicity_check(p: ParameterSet, q: ParameterSet,
-                       opts: PhaseOptions = PhaseOptions()) -> MonotonicityReport:
-    """Levels are monotone: lowering lambdas or raising mu/b lowers the level.
-
-    Requires lambda_p <= lambda_q, mu_q <= mu_p and b_q <= b_p entrywise.
-    Under that ordering, at every field the quadratic part is no larger
-    under p and the quartic part no smaller (the quadrature weights are
-    positive), so the Nehari projection of the q-minimizer onto p's Nehari
-    set has action at most c_q.  ``c_p`` is the lower of the p-solve and
-    that projection, so the reported inequality reflects the inclusion
-    argument rather than multistart luck.
-    """
-    if p.d != q.d or p.N != q.N:
-        raise ValueError("parameter sets must share d and N")
-    if np.any(p.lam > q.lam):
-        raise ValueError("ordering hypothesis violated: need lambda_p <= lambda_q")
-    if np.any(q.mu > p.mu):
-        raise ValueError("ordering hypothesis violated: need mu_q <= mu_p")
-    off = ~np.eye(p.d, dtype=bool)
-    if p.d > 1 and np.any(q.b[off] > p.b[off]):
-        raise ValueError("ordering hypothesis violated: need b_q <= b_p entrywise")
-    grid = build_grid(p, opts)  # lam_p.min() <= lam_q.min(): radius covers both
-    res_q = ground_state(q, grid, opts.solver)
-    res_p = ground_state(p, grid, opts.solver)
-    c_p = min(res_p.level, action_on_nehari(res_q.fields, p))
-    return MonotonicityReport(
-        c_p=c_p, c_q=res_q.level, consistent=c_p <= res_q.level + MONOTONICITY_TOL
-    )
-
-
-def scaling_check(p: ParameterSet, sigma,
-                  opts: PhaseOptions = PhaseOptions()) -> ScalingReport:
-    """Check level(sigma*lambda) = sigma^((4-N)/2) * level(lambda).
-
-    The scaled solve runs on radius R/sqrt(sigma) with the same node count,
-    which is the exact image of the base grid under the scaling, so the two
-    discrete problems match resolution for resolution.
-    """
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    grid = build_grid(p, opts)
-    base = ground_state(p, grid, opts.solver)
-    p_scaled = p.replace(lam=sigma * p.lam)
-    grid_scaled = RadialGrid.make(p.N, grid.R / np.sqrt(sigma), grid.n)
-    scaled = ground_state(p_scaled, grid_scaled, opts.solver)
-    lhs = scaled.level
-    rhs = sigma ** ((4.0 - p.N) / 2.0) * base.level
-    return ScalingReport(lhs=lhs, rhs=rhs, rel_err=abs(lhs - rhs) / abs(rhs))
-
-
-def coupling_scaling_identity(p: ParameterSet,
-                              opts: PhaseOptions = PhaseOptions()) -> ScalingReport:
-    """Algebraic identity level(lam, mu, b) = (1/b) level(lam, mu/b, 1).
-
-    Holds for the constrained action of every fixed field, not just at the
-    minimum, so it is checked at a fixed field: soliton profiles scaled by
-    1 + 0.1 i on the grid of ``opts``.
-    """
-    b = p.constant_coupling()
-    if b is None:
-        raise ValueError("coupling scaling identity needs a constant coupling")
-    grid = build_grid(p, opts)
-    vals = np.array(
-        [
-            (1.0 + 0.1 * i) * soliton_profile(grid, float(p.lam[i]), float(p.mu[i]))
-            for i in range(p.d)
-        ]
-    )
-    u = MultiField(grid, vals)
-    unit_b = np.full((p.d, p.d), 1.0)
-    np.fill_diagonal(unit_b, 0.0)
-    p_unit = p.replace(mu=p.mu / b, b=unit_b)
-    lhs = action_on_nehari(u, p)
-    rhs = action_on_nehari(u, p_unit) / b
-    return ScalingReport(lhs=lhs, rhs=rhs, rel_err=abs(lhs - rhs) / abs(rhs))

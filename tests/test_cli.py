@@ -101,6 +101,12 @@ class TestSolve:
         ("reduce", lambda c: c.update(parameters=PAIR["parameters"],
                                       reduce={"group": [0, 1], "groups": [[0, 1]]})),
         ("solve", lambda c: c["output"].update(format="yaml")),
+        ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
+            {"path": "b", "values": [0.5]}, {"path": "b", "values": [3.0]}]})),
+        ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
+            {"path": "b", "values": [1.0], "step": 0.1}]})),
+        ("sweep --workers 1000000", lambda c: c.update(
+            parameters=PAIR["parameters"], sweep={"axes": [{"path": "b", "values": [3.0]}]})),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
@@ -108,7 +114,8 @@ class TestSolve:
             "string-output-with-dir-flag", "list-solver-with-seed-flag",
             "string-check_truncation", "misspelt-key", "removed-margin_tol",
             "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
-            "unknown-reduce-key", "unknown-output-key"])
+            "unknown-reduce-key", "unknown-output-key", "repeated-axis-path",
+            "unknown-axis-key", "workers-over-cap"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))

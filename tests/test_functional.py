@@ -10,13 +10,14 @@ from cnls.functional import (
 from cnls.grid import (
     MultiField,
     RadialGrid,
+    default_radius,
     h1_sq_raw,
     l4_raw,
     neg_lap_plus_raw,
     wdot,
 )
 from cnls.params import ParameterSet
-from cnls.solver import soliton_profile
+from cnls.solver import ground_state, soliton_profile
 
 SINGLE_LEVEL = 4.0 / 3.0
 
@@ -189,6 +190,15 @@ class TestActionOnNehari:
         assert action_on_nehari(u, p) == pytest.approx(
             action_on_nehari(u, p_unit) / b, rel=1e-12
         )
+
+    def test_projected_q_minimizer_bounds_c_q(self):
+        # lambda_p <= lambda_q, mu_q <= mu_p, b_q <= b_p: at every field p has
+        # no larger quadratic and no smaller quartic part, so projecting the
+        # q-minimizer onto p's Nehari set cannot raise c_q
+        p = ParameterSet.make([0.9, 1.0], [1.2, 1.1], 2.0)
+        q = ParameterSet.make([1.0, 1.3], [1.0, 0.9], 1.5)
+        res_q = ground_state(q, RadialGrid.make(1, default_radius(0.9), 600))
+        assert action_on_nehari(res_q.fields, p) <= res_q.level * (1.0 + 1e-12)
 
     def test_parameter_monotonicity_at_fixed_field(self, grid):
         rng = np.random.default_rng(10)

@@ -5,26 +5,22 @@ import numpy as np
 import pytest
 
 from cnls import phase, solver
-from cnls.functional import action_on_nehari
 from cnls.params import ParameterSet, small_b_bound
 from cnls.phase import (
     FULLY_NONTRIVIAL,
     INCONCLUSIVE,
     SEMITRIVIAL,
     SWEEP_CAP,
+    WORKERS_CAP,
     PhaseOptions,
     SweepPoint,
     build_grid,
     classify,
-    coupling_scaling_identity,
     evaluate_predicates,
-    monotonicity_check,
-    scaling_check,
     set_parameter,
     sweep,
     write_sweep_csv,
 )
-from cnls.solver import ground_state
 
 SINGLE_LEVEL = 4.0 / 3.0
 
@@ -41,6 +37,14 @@ FAST = PhaseOptions(grid_n=600, grid_R=20.0)
 def test_phase_options_reject_mistyped_fields(kwargs):
     with pytest.raises(ValueError, match="must be"):
         PhaseOptions(**kwargs)
+
+
+def test_phase_options_cap_the_worker_pool():
+    # rejected on construction, before any pool could start a process
+    assert PhaseOptions(workers=WORKERS_CAP).workers == WORKERS_CAP
+    for workers in (0, WORKERS_CAP + 1, 10**6):
+        with pytest.raises(ValueError, match=f"between 1 and {WORKERS_CAP}"):
+            PhaseOptions(workers=workers)
 
 
 class TestClassify:
@@ -222,6 +226,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="bad parameter path"):
             sweep(base, [("nope", [1.0])], FAST)
 
+    def test_repeated_axis_path(self):
+        # each path names one CSV column and one value per point
+        base = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match=r"repeated axis path\(s\): \['b'\]"):
+            sweep(base, [("b", [0.5]), ("mu[0]", [1.0]), ("b", [3.0])], FAST)
+
     def test_worker_pool_matches_sequential(self):
         base = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
         axes = [("b", [0.5, 3.0])]
@@ -302,78 +312,6 @@ class TestSweepSharesRestrictedSolves:
         res = solver.minimize_restricted(p, (0,), other)
         with pytest.raises(ValueError, match="another grid"):
             classify(p, PhaseOptions(grid_n=300), {(0,): res})
-
-
-class TestMonotonicity:
-    def test_single_equation_analytic(self):
-        p = ParameterSet.make([1.0], [2.0], 0.0)
-        q = ParameterSet.make([1.0], [1.0], 0.0)
-        rep = monotonicity_check(p, q, PhaseOptions(grid_n=800))
-        assert rep.consistent
-        assert rep.c_p == pytest.approx(SINGLE_LEVEL / 2.0, rel=1e-3)
-        assert rep.c_q == pytest.approx(SINGLE_LEVEL, rel=1e-3)
-
-    def test_equal_systems(self):
-        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
-        rep = monotonicity_check(p, p, PhaseOptions(grid_n=600))
-        assert rep.consistent
-        assert rep.c_p <= rep.c_q + 1e-9
-
-    def test_raising_coupling_lowers_level(self):
-        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
-        q = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.5)
-        rep = monotonicity_check(p, q, PhaseOptions(grid_n=800, grid_R=20.0))
-        assert rep.consistent
-        assert rep.c_p == pytest.approx(8.0 / (3.0 * 4.0), rel=1e-3)
-        assert rep.c_q == pytest.approx(8.0 / (3.0 * 2.5), rel=1e-3)
-
-    def test_projected_q_minimizer_bounds_c_q(self):
-        # the bound monotonicity_check takes for c_p: at every field the
-        # ordered p has no larger quadratic and no smaller quartic part, so
-        # projecting the q-minimizer onto p's Nehari set cannot raise c_q
-        p = ParameterSet.make([0.9, 1.0], [1.2, 1.1], 2.0)
-        q = ParameterSet.make([1.0, 1.3], [1.0, 0.9], 1.5)
-        opts = PhaseOptions(grid_n=600)
-        res_q = ground_state(q, build_grid(p, opts), opts.solver)
-        bound = action_on_nehari(res_q.fields, p)
-        assert bound <= res_q.level * (1.0 + 1e-12)
-        rep = monotonicity_check(p, q, opts)
-        assert rep.c_q == res_q.level
-        assert rep.c_p <= bound
-
-    def test_ordering_violations_are_errors(self):
-        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
-        q_bad_lam = ParameterSet.make([0.5, 1.0], [1.0, 1.0], 2.0)
-        with pytest.raises(ValueError, match="lambda"):
-            monotonicity_check(p, q_bad_lam, FAST)
-        q_bad_mu = ParameterSet.make([1.0, 1.0], [2.0, 1.0], 2.0)
-        with pytest.raises(ValueError, match="mu"):
-            monotonicity_check(p, q_bad_mu, FAST)
-        q_bad_b = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
-        with pytest.raises(ValueError, match="b_q"):
-            monotonicity_check(p, q_bad_b, FAST)
-
-
-class TestScaling:
-    def test_identity_at_sigma_one(self):
-        p = ParameterSet.make([1.0], [1.0], 0.0)
-        rep = scaling_check(p, 1.0, PhaseOptions(grid_n=800))
-        assert rep.rel_err < 1e-10
-
-    def test_lambda_scaling_exponent(self):
-        p = ParameterSet.make([1.0], [1.0], 0.0)
-        rep = scaling_check(p, 4.0, PhaseOptions(grid_n=800))
-        assert rep.rel_err < 1e-3
-        assert rep.rhs == pytest.approx(8.0 * SINGLE_LEVEL, rel=1e-3)  # 4^(3/2) * 4/3
-
-    def test_coupling_identity(self):
-        p = ParameterSet.make([1.0, 1.3], [1.0, 0.8], 2.0)
-        rep = coupling_scaling_identity(p, PhaseOptions(grid_n=600))
-        assert rep.rel_err < 1e-10
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            scaling_check(ParameterSet.make([1.0], [1.0], 0.0), 0.0, FAST)
 
 
 def test_small_coupling_sampling_never_fully_nontrivial():

@@ -68,11 +68,12 @@ class TestSolitonProfile:
 
 
 class TestSingleEquation:
-    def test_level_matches_soliton(self, grid):
-        p = ParameterSet.make([1.0], [1.0], 0.0)
+    @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (1.0, 2.0), (4.0, 1.0)])
+    def test_level_matches_soliton(self, grid, lam, mu):
+        p = ParameterSet.make([lam], [mu], 0.0)
         res = ground_state(p, grid)
         assert res.converged
-        assert res.level == pytest.approx(SINGLE_LEVEL, rel=1e-3)
+        assert res.level == pytest.approx(single_level(lam, mu), rel=1e-3)
         assert res.support == (0,)
 
     def test_result_invariants(self, grid):
@@ -98,12 +99,13 @@ class TestSingleEquation:
 
 
 class TestCoupledPair:
-    def test_symmetric_level_at_strong_coupling(self):
+    @pytest.mark.parametrize("b", [1.5, 3.0])
+    def test_symmetric_level_at_strong_coupling(self, b):
         g = RadialGrid.make(1, 20.0, 1500)
-        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], b)
         res = ground_state(p, g)
         assert res.support == (0, 1)
-        assert res.level == pytest.approx(2.0 / 3.0, rel=1e-3)
+        assert res.level == pytest.approx(8.0 / (3.0 * (1.0 + b)), rel=1e-3)
 
     def test_weak_coupling_collapses_to_semitrivial(self, grid):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.5)
