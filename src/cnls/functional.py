@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MultiField, h1_sq_raw, l4_raw, neg_lap_plus_raw
+from .grid import MultiField, h1_sq_raw, neg_lap_plus_raw
 from .params import ParameterSet
 
 
@@ -61,15 +61,26 @@ def _coupling_raw(p: ParameterSet, v2):
 
 
 def action_parts_raw(grid, values, p: ParameterSet):
-    """Return (quadratic, quartic_self, quartic_cross) for a (d, n+1) array."""
+    """Return (q, M) for a (d, n+1) array: q_i = ||u_i||^2_{lambda_i},
+    M_ii = mu_i |u_i|_4^4 and M_ij = b_ij |u_i u_j|_2^2 (i != j).
+
+    The quadratic part of the action is sum(q) and the quartic part
+    sum(M).  Scaling row i by s_i maps (q, M) to (D q, D M D) with D =
+    diag(s^2), which is what the solver's amplitude step solves in.  Each
+    entry is one weighted dot product, so a zero row gives exact zeros and
+    a system with zero rows has the same parts as the system without them.
+    """
+    d = values.shape[0]
     v2 = values * values
-    cross = _coupling_raw(p, v2)
-    quad = qself = qcross = 0.0
-    for i in range(values.shape[0]):
-        quad += h1_sq_raw(grid, values[i], float(p.lam[i]))
-        qself += float(p.mu[i]) * l4_raw(grid, values[i])
-        qcross += float(np.dot(grid.weights, v2[i] * cross[i]))
-    return quad, qself, qcross
+    wv2 = grid.weights * v2
+    q = np.empty(d)
+    M = np.empty((d, d))
+    for i in range(d):
+        q[i] = h1_sq_raw(grid, values[i], float(p.lam[i]))
+        M[i, i] = float(p.mu[i]) * float(np.dot(wv2[i], v2[i]))
+        for j in range(i):
+            M[i, j] = M[j, i] = float(p.b[i, j]) * float(np.dot(wv2[i], v2[j]))
+    return q, M
 
 
 def gradient_raw(grid, values, p: ParameterSet):
@@ -85,34 +96,41 @@ def gradient_raw(grid, values, p: ParameterSet):
     return out
 
 
-def nehari_raw(quad, qself, qcross):
-    """Nehari projection from the action parts: (t, level) with
-    t^2 = quadratic / quartic total and level = quadratic^2 / (4 * quartic
-    total), the action at t*u; None when the field cannot be projected
-    (zero quadratic part or nonpositive quartic total)."""
-    total = qself + qcross
-    if quad <= 0.0 or total <= 0.0:
+def nehari_raw(quadratic, quartic):
+    """Nehari projection from the quadratic and quartic parts: (t, level)
+    with t^2 = quadratic / quartic and level = quadratic^2 / (4 * quartic),
+    the action at t*u; None when the field cannot be projected (zero
+    quadratic part or nonpositive quartic part)."""
+    if quadratic <= 0.0 or quartic <= 0.0:
         return None
-    return float(np.sqrt(quad / total)), quad * quad / (4.0 * total)
+    return float(np.sqrt(quadratic / quartic)), quadratic * quadratic / (4.0 * quartic)
+
+
+def _totals(q, M):
+    """(quadratic, quartic) parts of the action from `action_parts_raw`."""
+    return float(q.sum()), float(M.sum())
 
 
 def action(u: MultiField, p: ParameterSet) -> ActionBreakdown:
     """Evaluate the action and its breakdown at u."""
     _check_dims(u, p)
-    quad, qself, qcross = action_parts_raw(u.grid, u.values, p)
+    q, M = action_parts_raw(u.grid, u.values, p)
+    quad, quartic = _totals(q, M)
+    qself = float(np.trace(M))
+    qcross = quartic - qself
     return ActionBreakdown(
         quadratic=quad,
         quartic_self=qself,
         quartic_cross=qcross,
-        action=quad / 2.0 - qself / 4.0 - qcross / 4.0,
-        nehari_residual=quad - qself - qcross,
+        action=quad / 2.0 - quartic / 4.0,
+        nehari_residual=quad - quartic,
     )
 
 
 def _projection(u: MultiField, p: ParameterSet):
     _check_dims(u, p)
-    quad, qself, qcross = action_parts_raw(u.grid, u.values, p)
-    proj = nehari_raw(quad, qself, qcross)
+    quad, quartic = _totals(*action_parts_raw(u.grid, u.values, p))
+    proj = nehari_raw(quad, quartic)
     if proj is None:
         if quad <= 0.0:
             raise ValueError("cannot project the zero field onto the constraint set")

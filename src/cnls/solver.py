@@ -16,6 +16,16 @@ the scale-invariant merit action_on_nehari.  Iterates are clamped
 nonnegative: ground states have signed components, and fixing the positive
 representative removes sign oscillation.
 
+After each accepted Armijo step the descent takes an exact step in the
+component amplitudes (`amplitude_step`).  With the action parts (q, M) of
+the accepted point, scaling component i by sqrt(t_i) gives the Nehari level
+f(t) = (q.t)^2 / (4 t.M.t), stationary at t = M^{-1} q (the synchronized
+reduction of Sirakov, CMP 271 (2007)).  The step fires when every t_i > 0
+and f(t) is below the merit.  For positive definite M, M^{-1} q maximizes f,
+so it fires only where coupling beats self-interaction: on the fully
+nontrivial side next to the switch-on coupling, where the component-ratio
+mode has curvature of order b - mu and the H^1 descent alone stalls.
+
 No global-optimality claim is made: the returned level is the best local
 minimum over a deterministic multistart inventory.  The perturbation
 certificate provides the only strict-comparison guarantee: it lists the
@@ -31,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg import cho_solve_banded  # noqa: F401  (perfbench/tracing.py wraps this name)
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgesv, dpotrf, dpttrf, dpttrs
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw
 from .grid import MultiField, RadialGrid, l4_raw, stiffness_tridiag
@@ -195,8 +205,11 @@ class _Descent:
         out[:, :n] = x.reshape(d, n)
         return float(np.vdot(rhs, x))
 
-    def _project(self, values):
-        return nehari_raw(*action_parts_raw(self.grid, values, self.p))
+    def _parts(self, values):
+        """(q, M) of `action_parts_raw` at values and their Nehari
+        projection (t, level), or None when values cannot be projected."""
+        q, M = action_parts_raw(self.grid, values, self.p)
+        return q, M, nehari_raw(float(q.sum()), float(M.sum()))
 
     def _weigh(self, grad):
         """(weights * grad on the free nodes, weighted norm of grad): one
@@ -217,7 +230,8 @@ class _Descent:
 
     def run(self, u0):
         """Projected, preconditioned descent from u0 (clamped nonnegative,
-        zero at the outer node).
+        zero at the outer node), with the amplitude step after every
+        accepted Armijo step.
 
         Returns (values, iterations, grad_norm, converged) or None when the
         start cannot be projected onto the constraint set.
@@ -225,7 +239,7 @@ class _Descent:
         p, g, opts = self.p, self.grid, self.opts
         u = np.maximum(u0, 0.0)
         u[:, -1] = 0.0
-        proj = self._project(u)
+        proj = self._parts(u)[2]
         if proj is None:
             return None
         t, phi = proj
@@ -250,10 +264,15 @@ class _Descent:
             while alpha > 1e-16:
                 cand = np.maximum(u - alpha * direction, 0.0)
                 cand[:, -1] = 0.0
-                proj = self._project(cand)
+                q, M, proj = self._parts(cand)
                 if proj is not None and proj[1] <= phi - ARMIJO_C * alpha * decrement:
                     t, phi = proj
-                    u = t * cand
+                    amp = amplitude_step(q, M, phi)
+                    if amp is None:
+                        u = t * cand
+                    else:
+                        s, phi = amp
+                        u = s[:, None] * cand
                     accepted = True
                     break
                 alpha *= BACKTRACK_FACTOR
@@ -275,11 +294,37 @@ class _Descent:
             raise ValueError("descent collapsed to the zero field")
         alive = masses > THETA_TRIV * top
         values = np.where(alive[:, None], values, 0.0)
-        t, level = self._project(values)
+        t, level = self._parts(values)[2]
         values = t * values
         gnorm = self._weigh(gradient_raw(g, values, p))[1]
         support = tuple(int(i) for i in np.flatnonzero(alive))
         return values, level, support, gnorm
+
+
+def amplitude_step(q, M, level):
+    """Exact step in the component amplitudes of a field with parts (q, M).
+
+    Scaling row i by sqrt(t_i) moves the Nehari level to f(t) = (q.t)^2 /
+    (4 t.M.t), which is stationary at t = M^{-1} q.  When every t_i > 0 and
+    f(t) < ``level`` this returns (s, f(t)) with s_i = sqrt(t_i (q.t) /
+    (t.M.t)): the rows scaled by s lie on the Nehari set at level f(t).
+    Otherwise it returns None.  For positive definite M, M^{-1} q maximizes f
+    (Cauchy-Schwarz in the M inner product), so the step fires only where
+    coupling beats self-interaction; it never zeroes a component.
+    """
+    if dpotrf(M)[1] == 0:  # positive definite: M^{-1} q maximizes f
+        return None
+    t, info = dgesv(M, q)[2:]
+    if info != 0 or not (t > 0.0).all():  # singular M: some component is off
+        return None
+    qt = float(q @ t)
+    tMt = float(t @ M @ t)
+    if not tMt > 0.0:
+        return None
+    f = qt * qt / (4.0 * tMt)
+    if not f < level:
+        return None
+    return np.sqrt(t * (qt / tMt)), f
 
 
 def _run_starts(desc: _Descent, starts) -> GroundStateResult:
@@ -380,10 +425,18 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
     (c(I') <= c(I) for I inside I'), so size d-1 suffices.  ``solved`` maps
     supports to `minimize_restricted` results already computed for ``p`` on
     ``grid`` with ``opts``; the other supports are solved here.
+
+    Inclusion guard: a restricted minimizer of I can settle on the soliton
+    of another component than i*, the member of I with the lowest
+    single-equation level lambda^((4-N)/2) / mu.  Then (i*,) is solved once,
+    shared between supports, and replaces the result of I when its level is
+    lower and not tied, which is sound because c(I) <= c({i*}).
     """
     if p.d < 2:
         raise ValueError("semitrivial levels need d >= 2")
     solved = solved or {}
+    single_level = p.lam ** ((4.0 - p.N) / 2.0) / p.mu
+    singles = {}
     results = {}
     for subset in semitrivial_subsets(p.d):
         res = solved.get(subset)
@@ -391,6 +444,13 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
             res = minimize_restricted(p, subset, grid, opts)
         elif res.fields.grid.key != grid.key:
             raise ValueError(f"result for support {subset} was solved on another grid")
+        lowest = min(subset, key=lambda i: single_level[i])
+        if lowest not in res.support:
+            if lowest not in singles:
+                singles[lowest] = minimize_restricted(p, (lowest,), grid, opts)
+            single = singles[lowest]
+            if single.level < res.level and not _tied((single.level,), (res.level,)):
+                res = single
         results[subset] = res
     best_subset = None
     for subset, res in sorted(results.items()):

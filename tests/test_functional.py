@@ -5,6 +5,7 @@ from cnls.functional import (
     action,
     action_gradient,
     action_on_nehari,
+    action_parts_raw,
     nehari_scale,
 )
 from cnls.grid import (
@@ -78,6 +79,38 @@ class TestAction:
         assert bk.nehari_residual == pytest.approx(
             bk.quadratic - bk.quartic_self - bk.quartic_cross, rel=1e-14
         )
+
+    def test_parts_match_the_per_component_breakdown(self, grid):
+        rng = np.random.default_rng(3)
+        b = np.array([[0.0, 0.4, 1.3], [0.4, 0.0, 2.2], [1.3, 2.2, 0.0]])
+        p = ParameterSet.make([1.0, 1.7, 0.6], [0.9, 1.1, 1.4], b)
+        vals = np.array([smooth_bump(grid, rng) for _ in range(3)])
+        q, M = action_parts_raw(grid, vals, p)
+        assert np.array_equal(M, M.T)
+        for i in range(3):
+            assert q[i] == pytest.approx(h1_sq_raw(grid, vals[i], p.lam[i]), rel=1e-14)
+            assert M[i, i] == pytest.approx(p.mu[i] * l4_raw(grid, vals[i]), rel=1e-14)
+            for j in range(i):
+                assert M[i, j] == pytest.approx(b[i, j] * wdot(grid, vals[i] ** 2, vals[j] ** 2),
+                                                rel=1e-14)
+        bk = action(MultiField(grid, vals), p)
+        assert bk.quadratic == pytest.approx(q.sum(), rel=1e-14)
+        assert bk.quartic_self == pytest.approx(np.trace(M), rel=1e-14)
+        cross = sum(b[i, j] * wdot(grid, vals[i] ** 2, vals[j] ** 2)
+                    for i in range(3) for j in range(3) if i != j)
+        assert bk.quartic_cross == pytest.approx(cross, rel=1e-13)
+
+    def test_parts_rescale_per_component(self, grid):
+        # scaling row i by s_i maps (q, M) to (D q, D M D) with D = diag(s^2)
+        rng = np.random.default_rng(12)
+        p = ParameterSet.make([1.0, 1.3, 0.8], [1.0, 0.7, 1.2], 1.9)
+        vals = np.array([smooth_bump(grid, rng) for _ in range(3)])
+        s = np.array([0.7, 1.3, 2.1])
+        q, M = action_parts_raw(grid, vals, p)
+        qs, Ms = action_parts_raw(grid, s[:, None] * vals, p)
+        D = s**2
+        np.testing.assert_allclose(qs, D * q, rtol=1e-14)
+        np.testing.assert_allclose(Ms, D[:, None] * M * D[None, :], rtol=1e-14)
 
     def test_coupling_diagonal_is_ignored(self, grid):
         vals = np.array([soliton_profile(grid, 1.0, 1.0), 0.7 * soliton_profile(grid, 1.3, 0.9)])

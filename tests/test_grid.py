@@ -27,10 +27,10 @@ def sech_field(grid, scale=1.0):
 
 
 def cross_quartic(grid, u, v):
-    """The coupling quartic int u^2 v^2 as the functional computes it: half
-    the cross part of a pair with b = 1."""
+    """The coupling quartic int u^2 v^2 as the functional computes it: the
+    entry M[0, 1] = b int u^2 v^2 of a pair's quartic matrix, with b = 1."""
     p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0, N=grid.N)
-    return action_parts_raw(grid, np.array([u, v]), p)[2] / 2.0
+    return action_parts_raw(grid, np.array([u, v]), p)[1][0, 1]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -5,14 +5,17 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 import cnls.solver
-from cnls.functional import action
-from cnls.grid import MultiField, RadialGrid, l4_raw, stiffness_tridiag
+from cnls.functional import action, action_parts_raw
+from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, stiffness_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
+    LEVEL_TIE_TOL,
+    SEMITRIVIAL_EPS,
     THETA_TRIV,
     SolverOptions,
     _Descent,
     _run_starts,
+    amplitude_step,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
@@ -179,6 +182,74 @@ class TestDescent:
         assert res.converged is converged
 
 
+class TestAmplitudeStep:
+    @staticmethod
+    def parts(grid, b, scales):
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], b)
+        U = soliton_profile(grid, 1.0, 1.0)
+        vals = np.array([c * U for c in scales])
+        q, M = action_parts_raw(grid, vals, p)
+        return p, vals, q, M, q.sum() ** 2 / (4.0 * M.sum())
+
+    @pytest.mark.parametrize("b", [0.5, 0.99])
+    def test_no_op_when_quartic_matrix_is_positive_definite(self, grid, b):
+        # M^{-1} q is the maximum of the level over the amplitudes there
+        _, _, q, M, level = self.parts(grid, b, (1.0, 0.1))
+        assert np.all(np.linalg.eigvalsh(M) > 0.0)
+        assert amplitude_step(q, M, level) is None
+
+    def test_no_op_with_a_component_switched_off(self, grid):
+        _, _, q, M, level = self.parts(grid, 3.0, (1.0, 0.0))
+        assert amplitude_step(q, M, level) is None
+
+    def test_reaches_the_symmetric_level_from_unequal_amplitudes(self, grid):
+        # on the ray (U, 0.1 U) the best amplitudes are equal, and there the
+        # level is 8/(3(1+b)) up to the discretization of U
+        b = 1.5
+        p, vals, q, M, level = self.parts(grid, b, (1.0, 0.1))
+        s, new_level = amplitude_step(q, M, level)
+        assert new_level < level
+        assert new_level == pytest.approx(8.0 / (3.0 * (1.0 + b)), rel=1e-4)
+        scaled = s[:, None] * vals
+        np.testing.assert_allclose(scaled[0], scaled[1], rtol=1e-12, atol=1e-14)
+        bk = action(MultiField(grid, scaled), p)
+        assert abs(bk.nehari_residual) <= 1e-12 * bk.quadratic
+        assert bk.action == pytest.approx(new_level, rel=1e-12)
+
+    def test_bumped_semitrivial_start_converges_next_to_the_threshold(self):
+        # the component-ratio mode has curvature ~ b - mu: H^1 descent alone
+        # runs all 3000 iterations here without converging
+        g = RadialGrid.make(1, 20.0, 400)
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0001)
+        semi = minimize_restricted(p, (0,), g)
+        start = semi.fields.values.copy()
+        start[1] += SEMITRIVIAL_EPS * soliton_profile(g, 1.0, 1.0)
+        desc = _Descent(p, g, SolverOptions())
+        values, iterations, _, converged = desc.run(start)
+        assert converged and iterations <= 50
+        _, level, support, _ = desc.finalize(values)
+        assert support == (0, 1) and level < semi.level
+
+    def test_every_full_start_converges_on_the_d3_reproducer(self, monkeypatch):
+        # N=2, lambda=mu=1, b01=3, b02=b12=2: six of the nine full starts
+        # used to run all 3000 iterations
+        runs = []
+        raw = _Descent.run
+
+        def recorded(self, u0):
+            out = raw(self, u0)
+            if self.p.d == 3:
+                runs.append(out[1:])
+            return out
+
+        monkeypatch.setattr(_Descent, "run", recorded)
+        b = np.array([[0.0, 3.0, 2.0], [3.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+        p = ParameterSet.make([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], b, N=2)
+        ground_state(p, RadialGrid.make(2, default_radius(1.0), 400))
+        assert len(runs) == 9
+        assert all(converged for _, _, converged in runs), runs
+
+
 class TestMinimizeRestricted:
     def test_rejects_empty_support(self, grid):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
@@ -240,6 +311,30 @@ class TestSemitrivialLevel:
         assert semi_q.level == pytest.approx(semi.level, abs=1e-8 * max(1.0, semi.level))
         mapped = tuple(sorted(perm.index(i) for i in semi.best_subset))
         assert semi_q.best_subset == mapped
+
+
+    @pytest.mark.parametrize("lam, mu, b, N", [
+        # wide_system seed 6 pass 2, d4-N2-low: every size-3 support with
+        # component 1 settled on another component's soliton
+        ([1.0060834648848291, 1.1620547612082008, 1.1480972309055912, 1.1335496794721152],
+         [0.9140434675857273, 1.0577074577192718, 1.0412093340681887, 1.0303086201621043],
+         0.32429824213147557, 2),
+        # wide_system seed 8 pass 5, d4-N3-low
+        ([1.079583539197161, 1.1433728365839417, 1.01924870258899, 1.1842860260407782],
+         [1.0351244959695245, 1.090025458555034, 0.9739427928474121, 1.030217412699534],
+         0.35637753525436583, 3),
+    ], ids=["seed6-pass2", "seed8-pass5"])
+    def test_inclusion_guard_finds_the_lowest_component(self, lam, mu, b, N):
+        # below the small-coupling bound c(I) is the lowest single level in I
+        p = ParameterSet.make(lam, mu, b, N=N)
+        g = RadialGrid.make(N, default_radius(min(lam)), 1000)
+        semi = semitrivial_level(p, g)
+        lowest = int(np.argmin(p.lam ** ((4.0 - N) / 2.0) / p.mu))
+        single = minimize_restricted(p, (lowest,), g)
+        assert semi.level == pytest.approx(single.level, rel=LEVEL_TIE_TOL)
+        for subset, res in semi.results.items():
+            if lowest in subset:
+                assert res.support == (lowest,)
 
 
 class TestGroundState:
