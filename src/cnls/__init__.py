@@ -43,7 +43,6 @@ from .reduction import (
 )
 from .solver import (
     GroundStateResult,
-    SolverOptions,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
@@ -65,7 +64,6 @@ __all__ = [
     "RadialGrid",
     "ReducedSystem",
     "SEMITRIVIAL",
-    "SolverOptions",
     "SphereMaxResult",
     "SpreadConditionReport",
     "action",

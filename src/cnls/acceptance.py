@@ -20,7 +20,6 @@ from .params import ParameterSet, small_b_bound
 from .phase import FULLY_NONTRIVIAL, SEMITRIVIAL, PhaseOptions, classify
 from .reduction import brute_force_sphere_max, lift_ground_state, reduce_system, sphere_max
 from .solver import (
-    SolverOptions,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
@@ -60,7 +59,7 @@ def criterion_01_single_equation_level():
     """Single-equation level at lambda = mu = 1, N = 1 equals 4/3 (1e-3 rel)."""
     p = ParameterSet.make([1.0], [1.0], 0.0, N=1)
     g = RadialGrid.make(1, 20.0, 4000)
-    res = ground_state(p, g, SolverOptions())
+    res = ground_state(p, g)
     rel = abs(res.level - SINGLE_LEVEL) / SINGLE_LEVEL
     return rel <= 1e-3 and res.converged, (
         f"level={res.level:.8f} target={SINGLE_LEVEL:.8f} rel_err={rel:.2e}"
@@ -127,8 +126,7 @@ def criterion_04_reduction_consistency():
     """Full d=3 system (lambda=(1,1,2), mu=1, b=3) vs its reduced d=2 system."""
     p = ParameterSet.make([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], 3.0, N=1)
     g = RadialGrid.make(1, 20.0, 2000)
-    sopts = SolverOptions()
-    full = ground_state(p, g, sopts)
+    full = ground_state(p, g)
     red = reduce_system(p, (0, 1))
     expect = np.array([[0.0, 3.0], [3.0, 0.0]])
     if not (
@@ -137,7 +135,7 @@ def criterion_04_reduction_consistency():
         and np.allclose(red.reduced.b, expect)
     ):
         return False, f"unexpected reduced parameters {red.reduced.to_json_dict()}"
-    red_res = ground_state(red.reduced, g, sopts)
+    red_res = ground_state(red.reduced, g)
     rel = abs(full.level - red_res.level) / abs(red_res.level)
     u1, u2 = full.fields.values[0], full.fields.values[1]
     sup = float(np.max(np.abs(u1 - u2))) / max(

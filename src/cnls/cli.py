@@ -2,11 +2,12 @@
 
 One JSON config file is the sole positional argument (sweeps are
 config-heavy, and a single artifact per run aids provenance); flags only
-override the seed, the output directory, and the worker count.  Every
-output file embeds the tool version and a hash of the effective config.
+override the output directory and the worker count.  Every output file
+embeds the tool version, the solver seed and a hash of the effective config.
 
-Exit codes: 0 success, 1 usage/validation error, 2 converged with warnings
-(e.g. a flagged non-converged solve; the result is still written).
+Exit codes: 0 success, 1 usage/validation error (a malformed command line
+included), 2 converged with warnings (e.g. a flagged non-converged solve;
+the result is still written).
 """
 
 from __future__ import annotations
@@ -32,19 +33,18 @@ from .phase import (
     write_sweep_csv,
 )
 from .reduction import reduce_system
-from .solver import SolverOptions, ground_state
+from .solver import SEED, ground_state
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WARNINGS = 2
 
 #: Every top-level key a run config may hold; any other key is an error.
-_CONFIG_KEYS = ("parameters", "grid", "solver", "workers", "sweep", "reduce",
-               "output", "check_truncation")
-#: The config sections, which must be JSON objects, and the keys each may
-#: hold (`SolverOptions.from_json_dict` checks the `solver` keys).
-_SECTIONS = {"grid": ("R", "n"), "solver": None, "sweep": ("axes",),
-             "reduce": ("group",), "output": ("dir",)}
+_CONFIG_KEYS = ("parameters", "grid", "workers", "sweep", "reduce", "output",
+               "check_truncation")
+#: The config sections, which must be JSON objects, and the keys each may hold.
+_SECTIONS = {"grid": ("R", "n"), "sweep": ("axes",), "reduce": ("group",),
+             "output": ("dir",)}
 
 #: `cnls thresholds` row label and the words for a satisfied / failed
 #: condition, per predicate report.
@@ -80,7 +80,7 @@ def _load_config(path):
         section = config.get(key, {})
         if not isinstance(section, dict):
             raise ValueError(f'"{key}" must be a JSON object')
-        unknown = sorted(set(section) - set(known or section))
+        unknown = sorted(set(section) - set(known))
         if unknown:
             raise ValueError(f'unknown "{key}" key(s): {unknown}')
     axes = config.get("sweep", {}).get("axes", [])
@@ -100,8 +100,6 @@ def _load_config(path):
 
 def _effective_config(config, args):
     eff = json.loads(json.dumps(config))  # deep copy, JSON-clean
-    if getattr(args, "seed", None) is not None:
-        eff.setdefault("solver", {})["seed"] = args.seed
     if getattr(args, "output_dir", None) is not None:
         eff.setdefault("output", {})["dir"] = args.output_dir
     if getattr(args, "workers", None) is not None:
@@ -114,8 +112,7 @@ def _phase_options(config):
     R = grid_cfg.get("R", "auto")
     R = None if R in (None, "auto") else as_float(R, "grid.R")
     n = as_int(grid_cfg.get("n", 2000), "grid.n")
-    solver = SolverOptions.from_json_dict(config.get("solver", {}))
-    kwargs = dict(grid_n=n, grid_R=R, solver=solver)
+    kwargs = dict(grid_n=n, grid_R=R)
     if "workers" in config:
         kwargs["workers"] = as_int(config["workers"], "workers")
     return PhaseOptions(**kwargs)
@@ -126,7 +123,7 @@ def _meta(config):
         "tool": "cnls",
         "version": __version__,
         "config_sha256": _config_hash(config),
-        "seed": config.get("solver", {}).get("seed", SolverOptions().seed),
+        "seed": SEED,
     }
 
 
@@ -146,7 +143,7 @@ def cmd_solve(config):
     p = ParameterSet.from_json_dict(config["parameters"])
     opts = _phase_options(config)
     grid = build_grid(p, opts)
-    res = ground_state(p, grid, opts.solver)
+    res = ground_state(p, grid)
     meta = _meta(config)
     out = _outdir(config)
     payload = dict(meta)
@@ -156,7 +153,7 @@ def cmd_solve(config):
     if config.get("check_truncation"):
         # R-doubling convergence check: same spacing, doubled radius
         grid2 = RadialGrid.make(grid.N, 2.0 * grid.R, 2 * grid.n)
-        res2 = ground_state(p, grid2, opts.solver)
+        res2 = ground_state(p, grid2)
         payload["truncation_check"] = {
             "R_doubled_level": res2.level,
             "level_drift": abs(res2.level - res.level),
@@ -276,8 +273,6 @@ def _build_parser():
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="path to the JSON run config")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the solver seed")
         sp.add_argument("--output-dir", default=None,
                         help="override the output directory")
         sp.add_argument("--workers", type=int, default=None,
@@ -291,11 +286,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return cmd_selftest(args)
     try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if not exc.code else EXIT_USAGE
+    try:
+        if args.command == "selftest":
+            return cmd_selftest(args)
         config = _effective_config(_load_config(args.config), args)
         handler = {
             "solve": cmd_solve,

@@ -76,8 +76,8 @@ class RadialGrid:
         n = int(n)
         if N not in (1, 2, 3):
             raise ValueError(f"N must be 1, 2 or 3, got {N}")
-        if R <= 0:
-            raise ValueError(f"R must be > 0, got {R}")
+        if not 0 < R < math.inf:
+            raise ValueError(f"R must be finite and > 0, got {R}")
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
         h = R / n

@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .params import (
 )
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .solver import (
-    SolverOptions,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
@@ -69,18 +68,17 @@ WORKERS_CAP = 64
 
 @dataclass(frozen=True)
 class PhaseOptions:
-    """Grid, solver, and worker controls for classification runs."""
+    """Grid and worker controls for classification runs."""
 
     grid_n: int = 2000
     grid_R: float = None  # None -> 20/sqrt(min lambda)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     workers: int = 1
 
     def __post_init__(self):
         if as_int(self.grid_n, "grid_n") < 100:
             raise ValueError("grid_n must be >= 100")
-        if self.grid_R is not None and as_float(self.grid_R, "grid_R") <= 0:
-            raise ValueError("grid_R must be > 0")
+        if self.grid_R is not None and not 0 < as_float(self.grid_R, "grid_R") < math.inf:
+            raise ValueError(f"grid_R must be finite and > 0, got {self.grid_R}")
         if not 1 <= as_int(self.workers, "workers") <= WORKERS_CAP:
             raise ValueError(f"workers must be between 1 and {WORKERS_CAP}")
 
@@ -194,14 +192,14 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
     """Classify a parameter set as fully nontrivial / semitrivial / inconclusive.
 
     ``restricted`` maps size-(d-1) supports to `minimize_restricted` results
-    already computed for ``p`` on its grid with ``opts.solver`` (`sweep`
-    shares them between points); the other supports are solved here.
+    already computed for ``p`` on its grid (`sweep` shares them between
+    points); the other supports are solved here.
     """
     if p.d < 2:
         raise ValueError("classification needs d >= 2 (no semitrivial side for d=1)")
     grid = build_grid(p, opts)
-    semi = semitrivial_level(p, grid, opts.solver, restricted)
-    full = ground_state(p, grid, opts.solver, semitrivial=semi)
+    semi = semitrivial_level(p, grid, restricted)
+    full = ground_state(p, grid, semitrivial=semi)
     margin = semi.level - full.level
     margin_abs = MARGIN_TOL * max(abs(semi.level), 1e-300)
 
@@ -305,7 +303,7 @@ def _restricted_key(p: ParameterSet, subset, opts: PhaseOptions):
 
 def _solve_restricted(args):
     p, subset, opts = args
-    return minimize_restricted(p, subset, build_grid(p, opts), opts.solver)
+    return minimize_restricted(p, subset, build_grid(p, opts))
 
 
 def _classify_sweep_point(args):

@@ -7,12 +7,12 @@ minimizer with zero rows outside I.
 
 The minimization runs on the constraint surface tau(u) = 0, which is free
 to enforce because the rescaling is closed form: every iterate is projected
-back by `functional.nehari_raw`, the one Nehari projection (`nehari_scale`
-and `action_on_nehari` are built on it).  Descent uses the H^1 (Sobolev)
-gradient, i.e. the raw gradient preconditioned by (-Laplace + lambda_i)^{-1}
-per component (one LAPACK dpttrs solve per iteration on the stack of the d
-tridiagonal blocks, factored once per descent), with Armijo backtracking on
-the scale-invariant merit action_on_nehari.  Iterates are clamped
+back by `functional.nehari_raw`, the one Nehari projection (`nehari_scale`,
+`action_on_nehari` and `amplitude_step` are built on it).  Descent uses the
+H^1 (Sobolev) gradient, i.e. the raw gradient preconditioned by (-Laplace +
+lambda_i)^{-1} per component (one LAPACK dpttrs solve per iteration on the
+stack of the d tridiagonal blocks, factored once per descent), with Armijo
+backtracking on the scale-invariant merit action_on_nehari.  Iterates are clamped
 nonnegative: ground states have signed components, and fixing the positive
 representative removes sign oscillation.
 
@@ -45,7 +45,7 @@ from scipy.linalg.lapack import dgesv, dpotrf, dpttrf, dpttrs
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw
 from .grid import MultiField, RadialGrid, l4_raw, stiffness_tridiag
-from .params import ParameterSet, as_int, index_set
+from .params import ParameterSet, index_set
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 #: Two multistart results count as the same level when they agree within this
@@ -72,32 +72,14 @@ THETA_TRIV = 1e-6
 #: semitrivial start of `ground_state`.
 SEMITRIVIAL_EPS = 0.1
 
+#: Iteration cap of one descent; a start that reaches it unconverged is
+#: reported with ``converged=False``.
+MAX_ITERATIONS = 3000
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Descent and multistart controls."""
-
-    max_iterations: int = 3000
-    random_starts: int = 2
-    seed: int = 12345
-
-    def __post_init__(self):
-        for name in ("max_iterations", "random_starts", "seed"):
-            as_int(getattr(self, name), name)
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be > 0")
-        if self.random_starts < 0:
-            raise ValueError("random_starts must be >= 0")
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("solver options must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ValueError(f"unknown solver option(s): {sorted(bad)}")
-        return cls(**obj)
+#: Seeded random starts per multistart, on top of the deterministic ones,
+#: and the seed they are drawn from.
+RANDOM_STARTS = 2
+SEED = 12345
 
 
 @dataclass(frozen=True)
@@ -175,10 +157,9 @@ def _random_start(p: ParameterSet, grid: RadialGrid, rng):
 class _Descent:
     """Shared machinery for descents at fixed (parameters, grid)."""
 
-    def __init__(self, p: ParameterSet, grid: RadialGrid, opts: SolverOptions):
+    def __init__(self, p: ParameterSet, grid: RadialGrid):
         self.p = p
         self.grid = grid
-        self.opts = opts
         self._ldl = None
         self._rhs = None
 
@@ -236,7 +217,7 @@ class _Descent:
         Returns (values, iterations, grad_norm, converged) or None when the
         start cannot be projected onto the constraint set.
         """
-        p, g, opts = self.p, self.grid, self.opts
+        p, g = self.p, self.grid
         u = np.maximum(u0, 0.0)
         u[:, -1] = 0.0
         proj = self._parts(u)[2]
@@ -245,9 +226,9 @@ class _Descent:
         t, phi = proj
         u *= t
         step = INITIAL_STEP
-        converged = False  # the loop runs at least once (max_iterations >= 1)
+        converged = False  # the loop runs at least once (MAX_ITERATIONS >= 1)
         direction = np.zeros_like(u)
-        for iterations in range(1, opts.max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             # keep grad referenced through the line search: releasing it
             # here made the allocator return and re-fault its pages (10x the
             # minor page faults, ~35% slower classify at d=4, n=8000)
@@ -304,10 +285,11 @@ class _Descent:
 def amplitude_step(q, M, level):
     """Exact step in the component amplitudes of a field with parts (q, M).
 
-    Scaling row i by sqrt(t_i) moves the Nehari level to f(t) = (q.t)^2 /
-    (4 t.M.t), which is stationary at t = M^{-1} q.  When every t_i > 0 and
-    f(t) < ``level`` this returns (s, f(t)) with s_i = sqrt(t_i (q.t) /
-    (t.M.t)): the rows scaled by s lie on the Nehari set at level f(t).
+    Scaling row i by sqrt(t_i) gives the parts (q.t, t.M.t), so `nehari_raw`
+    moves the level to f(t) = (q.t)^2 / (4 t.M.t), which is stationary at
+    t = M^{-1} q.  When every t_i > 0 and f(t) < ``level`` this returns
+    (s, f(t)) with s = tau sqrt(t) and tau the projection of the scaled
+    rows: the rows scaled by s lie on the Nehari set at level f(t).
     Otherwise it returns None.  For positive definite M, M^{-1} q maximizes f
     (Cauchy-Schwarz in the M inner product), so the step fires only where
     coupling beats self-interaction; it never zeroes a component.
@@ -317,14 +299,11 @@ def amplitude_step(q, M, level):
     t, info = dgesv(M, q)[2:]
     if info != 0 or not (t > 0.0).all():  # singular M: some component is off
         return None
-    qt = float(q @ t)
-    tMt = float(t @ M @ t)
-    if not tMt > 0.0:
+    proj = nehari_raw(float(q @ t), float(t @ M @ t))
+    if proj is None or not proj[1] < level:
         return None
-    f = qt * qt / (4.0 * tMt)
-    if not f < level:
-        return None
-    return np.sqrt(t * (qt / tMt)), f
+    tau, f = proj
+    return tau * np.sqrt(t), f
 
 
 def _run_starts(desc: _Descent, starts) -> GroundStateResult:
@@ -347,7 +326,7 @@ def _run_starts(desc: _Descent, starts) -> GroundStateResult:
         entry = (level, sup, values, iterations, gnorm, converged)
         if best is None or _better(entry, best):
             best = entry
-        elif _tied(entry, best) and sup != best[1] and sup not in alternates:
+        elif _tied(entry[0], best[0]) and sup != best[1] and sup not in alternates:
             alternates[sup] = level
     if best is None:
         raise ValueError("no start could be projected onto the constraint set")
@@ -365,16 +344,14 @@ def _run_starts(desc: _Descent, starts) -> GroundStateResult:
     )
 
 
-def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
-                        opts: SolverOptions = SolverOptions()) -> GroundStateResult:
+def minimize_restricted(p: ParameterSet, support, grid: RadialGrid) -> GroundStateResult:
     """Approximate the ground-state level of the subsystem on ``support``.
 
     The subsystem keeps the equations in I = ``support`` (parameters
     lam[I], mu[I], b[I, I]) and is minimized as a system of its own.  The
     result has d rows, identically zero outside I, and its ``support`` and
     ``alternates`` use the indices of ``p``.  The start inventory is the
-    subsystem's soliton start plus ``opts.random_starts`` seeded random
-    starts.
+    subsystem's soliton start plus RANDOM_STARTS seeded random starts.
 
     A non-converged run is still returned, flagged via ``converged=False``.
     """
@@ -384,11 +361,11 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
                        b=p.b[np.ix_(rows, rows)])
     bitmask = sum(1 << i for i in support)
     starts = [_soliton_start(sub, grid)] + [
-        _random_start(sub, grid, np.random.default_rng([opts.seed, 17, bitmask, k]))
-        for k in range(opts.random_starts)
+        _random_start(sub, grid, np.random.default_rng([SEED, 17, bitmask, k]))
+        for k in range(RANDOM_STARTS)
     ]
 
-    res = _run_starts(_Descent(sub, grid, opts), starts)
+    res = _run_starts(_Descent(sub, grid), starts)
     embedded = np.zeros((p.d, grid.n + 1))
     embedded[rows] = res.fields.values
 
@@ -399,14 +376,15 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid,
                    alternates=tuple((lift(s), lv) for s, lv in res.alternates))
 
 
-def _tied(entry, best):
-    """Levels (entry[0], best[0]) agree within LEVEL_TIE_TOL, relative."""
-    return abs(entry[0] - best[0]) <= LEVEL_TIE_TOL * max(1.0, abs(best[0]))
+def _tied(level, best):
+    """``level`` agrees with ``best`` within LEVEL_TIE_TOL, relative."""
+    return abs(level - best) <= LEVEL_TIE_TOL * max(1.0, abs(best))
 
 
 def _better(entry, best):
-    """Lower level wins; tied levels break to the smaller support entry[1]."""
-    if _tied(entry, best):
+    """Lower level entry[0] wins; tied levels break to the smaller support
+    entry[1]."""
+    if _tied(entry[0], best[0]):
         return entry[1] < best[1]
     return entry[0] < best[0]
 
@@ -416,15 +394,13 @@ def semitrivial_subsets(d):
     return [tuple(i for i in range(d) if i != missing) for missing in range(d)]
 
 
-def semitrivial_level(p: ParameterSet, grid: RadialGrid,
-                      opts: SolverOptions = SolverOptions(),
-                      solved=None) -> SemitrivialResult:
+def semitrivial_level(p: ParameterSet, grid: RadialGrid, solved=None) -> SemitrivialResult:
     """Minimum ground-state level over the d supports of size d-1.
 
     Supports of smaller size are dominated by feasible-set inclusion
     (c(I') <= c(I) for I inside I'), so size d-1 suffices.  ``solved`` maps
     supports to `minimize_restricted` results already computed for ``p`` on
-    ``grid`` with ``opts``; the other supports are solved here.
+    ``grid``; the other supports are solved here.
 
     Inclusion guard: a restricted minimizer of I can settle on the soliton
     of another component than i*, the member of I with the lowest
@@ -441,15 +417,15 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
     for subset in semitrivial_subsets(p.d):
         res = solved.get(subset)
         if res is None:
-            res = minimize_restricted(p, subset, grid, opts)
+            res = minimize_restricted(p, subset, grid)
         elif res.fields.grid.key != grid.key:
             raise ValueError(f"result for support {subset} was solved on another grid")
         lowest = min(subset, key=lambda i: single_level[i])
         if lowest not in res.support:
             if lowest not in singles:
-                singles[lowest] = minimize_restricted(p, (lowest,), grid, opts)
+                singles[lowest] = minimize_restricted(p, (lowest,), grid)
             single = singles[lowest]
-            if single.level < res.level and not _tied((single.level,), (res.level,)):
+            if single.level < res.level and not _tied(single.level, res.level):
                 res = single
         results[subset] = res
     best_subset = None
@@ -460,7 +436,6 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid,
 
 
 def ground_state(p: ParameterSet, grid: RadialGrid,
-                 opts: SolverOptions = SolverOptions(),
                  semitrivial: SemitrivialResult = None) -> GroundStateResult:
     """Best level over the full multistart inventory.
 
@@ -472,9 +447,9 @@ def ground_state(p: ParameterSet, grid: RadialGrid,
     approximation of the true ground-state level.
     """
     if p.d == 1:
-        return minimize_restricted(p, (0,), grid, opts)
+        return minimize_restricted(p, (0,), grid)
     if semitrivial is None:
-        semitrivial = semitrivial_level(p, grid, opts)
+        semitrivial = semitrivial_level(p, grid)
 
     soliton = _soliton_start(p, grid)
     starts = [soliton]
@@ -483,10 +458,10 @@ def ground_state(p: ParameterSet, grid: RadialGrid,
         bumped = res.fields.values.copy()
         bumped[missing] += SEMITRIVIAL_EPS * soliton[missing]
         starts += [res.fields.values, bumped]
-    starts += [_random_start(p, grid, np.random.default_rng([opts.seed, 23, k]))
-               for k in range(opts.random_starts)]
+    starts += [_random_start(p, grid, np.random.default_rng([SEED, 23, k]))
+               for k in range(RANDOM_STARTS)]
 
-    return _run_starts(_Descent(p, grid, opts), starts)
+    return _run_starts(_Descent(p, grid), starts)
 
 
 def perturbation_certificate(p: ParameterSet, semi: GroundStateResult) -> tuple:

@@ -5,13 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from cnls import cli, phase
+from cnls import cli, phase, solver
 from cnls.cli import main
 
 SINGLE = {
     "parameters": {"d": 1, "N": 1, "lambda": [1.0], "mu": [1.0], "b": [[0.0]]},
     "grid": {"R": 20.0, "n": 1200},
-    "solver": {"seed": 7},
 }
 
 PAIR = {
@@ -36,7 +35,21 @@ def test_readme_example_config_loads(tmp_path):
     config = cli._load_config(write_config(tmp_path, json.loads(blocks[0])))
     opts = cli._phase_options(config)
     assert opts.grid_n == config["grid"]["n"]
-    assert opts.solver.seed == config["solver"]["seed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["frob", "x"], ["solve", "{cfg}", "--seed", "3"],
+], ids=["no-config", "unknown-command", "removed-seed-flag"])
+def test_usage_error_exit_1(tmp_path, capsys, argv):
+    # argparse's own status 2 would read as "finished with warnings"
+    cfg = write_config(tmp_path, SINGLE)
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exit_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
 
 
 class TestSolve:
@@ -76,7 +89,7 @@ class TestSolve:
         ("solve", lambda c: c["parameters"].pop("b")),
         ("solve", lambda c: c.update(parameters=[1.0])),
         ("solve", lambda c: c["grid"].update(R="20")),
-        ("solve", lambda c: c["solver"].update(max_iterations=2.5)),
+        ("solve", lambda c: c.update(solver={"max_iterations": 2.5})),
         ("solve", lambda c: c["parameters"].update(N=1.5)),
         ("solve", lambda c: c["grid"].update(n=2000.5)),
         ("reduce", lambda c: c.update(reduce=[0, 1])),
@@ -88,12 +101,13 @@ class TestSolve:
         ("solve", lambda c: c.update(output="x")),
         ("solve", lambda c: c.update(output={"dir": 5})),
         ("solve --output-dir o", lambda c: c.update(output="x")),
-        ("solve --seed 3", lambda c: c.update(solver=[1])),
+        # the flag itself is gone: test_usage_error_exit_1[removed-seed-flag]
+        ("solve", lambda c: c.update(solver=[1])),
         ("solve", lambda c: c.update(check_truncation="yes")),
         ("solve", lambda c: c.update(margn_tol=0.5)),
         ("solve", lambda c: c.update(margin_tol=1e-4)),
         ("solve", lambda c: c.update(sweep_cap=3)),
-        ("solve", lambda c: c["solver"].update(grad_tol=1e-7)),
+        ("solve", lambda c: c.update(solver={"grad_tol": 1e-7})),
         ("solve", lambda c: c["grid"].update(nodes=4000)),
         ("sweep", lambda c: c.update(parameters=PAIR["parameters"],
                                      sweep={"axes": [{"path": "b", "values": [3.0]}],
@@ -105,17 +119,17 @@ class TestSolve:
             {"path": "b", "values": [0.5]}, {"path": "b", "values": [3.0]}]})),
         ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
             {"path": "b", "values": [1.0], "step": 0.1}]})),
+        ("solve", lambda c: c["grid"].update(R=float("nan"))),
         ("sweep --workers 1000000", lambda c: c.update(
             parameters=PAIR["parameters"], sweep={"axes": [{"path": "b", "values": [3.0]}]})),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
-            "integer-output-dir",
-            "string-output-with-dir-flag", "list-solver-with-seed-flag",
+            "integer-output-dir", "string-output-with-dir-flag", "list-solver-with-seed-flag",
             "string-check_truncation", "misspelt-key", "removed-margin_tol",
             "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
             "unknown-reduce-key", "unknown-output-key", "repeated-axis-path",
-            "unknown-axis-key", "workers-over-cap"])
+            "unknown-axis-key", "nan-R", "workers-over-cap"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
@@ -124,6 +138,16 @@ class TestSolve:
         command, *flags = argv.split()
         assert main([command, write_config(tmp_path, cfg), *flags]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_solver_section_is_named(self, tmp_path, capsys, monkeypatch):
+        # the iteration cap, random-start count and seed are solver constants
+        monkeypatch.chdir(tmp_path)
+        cfg = json.loads(json.dumps(SINGLE))
+        cfg["solver"] = {"max_iterations": 3000, "random_starts": 2, "seed": 12345}
+        cfg["output"] = {"dir": "out"}
+        assert main(["solve", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): ['solver']\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_section_key_is_named(self, tmp_path, capsys):
@@ -136,24 +160,26 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_non_convergence_exit_2_with_result(self, tmp_path, capsys):
+    def test_non_convergence_exit_2_with_result(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "RANDOM_STARTS", 0)
         cfg = dict(SINGLE)
-        cfg["solver"] = {"max_iterations": 1, "random_starts": 0}
         cfg["output"] = {"dir": str(tmp_path / "out")}
         code = main(["solve", write_config(tmp_path, cfg)])
         assert code == 2
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["result"]["converged"] is False
 
-    def test_seed_override_changes_hash(self, tmp_path):
+    def test_workers_override_changes_hash(self, tmp_path):
         cfg = dict(SINGLE)
-        cfg["output"] = {"dir": str(tmp_path / "a")}
-        main(["solve", write_config(tmp_path, cfg, "c1.json")])
-        cfg["output"] = {"dir": str(tmp_path / "b")}
-        main(["solve", write_config(tmp_path, cfg, "c2.json"), "--seed", "9"])
-        h1 = json.loads((tmp_path / "a" / "result.json").read_text())["config_sha256"]
-        h2 = json.loads((tmp_path / "b" / "result.json").read_text())["config_sha256"]
-        assert h1 != h2
+        cfg["output"] = {"dir": str(tmp_path / "out")}
+        path = write_config(tmp_path, cfg)
+        hashes = []
+        for flags in ([], ["--workers", "2"]):
+            assert main(["solve", path, *flags]) == 0
+            result = json.loads((tmp_path / "out" / "result.json").read_text())
+            hashes.append(result["config_sha256"])
+        assert hashes[0] != hashes[1]
 
 
 class TestClassify:
@@ -215,6 +241,8 @@ class TestSweep:
 
     def test_unconverged_shared_restricted_solve_flags_every_point(
             self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(solver, "RANDOM_STARTS", 0)
         real_solve = phase.minimize_restricted
         shared = []
 
@@ -227,7 +255,6 @@ class TestSweep:
         cfg = json.loads(json.dumps(PAIR))
         cfg["parameters"]["lambda"] = [1.0, 1.5]
         cfg["grid"]["n"] = 300
-        cfg["solver"] = {"max_iterations": 2, "random_starts": 0}
         cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 1.0, 3.0]}]}
         cfg["output"] = {"dir": str(tmp_path / "out")}
         cfg["workers"] = 1
@@ -299,5 +326,5 @@ class TestSelftest:
         assert "FAIL 01" in capsys.readouterr().out
 
     def test_unknown_criterion_rejected(self, capsys):
-        with pytest.raises(ValueError):
-            main(["selftest", "--only", "42"])
+        assert main(["selftest", "--only", "42"]) == 1
+        assert capsys.readouterr().err == "error: unknown criterion id(s): ['42']\n"

@@ -58,6 +58,12 @@ def test_default_radius():
         default_radius(0.0)
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), float("inf")])
+def test_make_rejects_a_radius_that_is_not_finite_and_positive(R):
+    with pytest.raises(ValueError, match="R must be finite and > 0"):
+        RadialGrid.make(1, R, 10)
+
+
 def test_grid_reconstructs_from_metadata():
     g = RadialGrid.make(3, 12.5, 640)
     g2 = RadialGrid.make(**g.to_json_dict())

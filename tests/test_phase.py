@@ -31,7 +31,8 @@ FAST = PhaseOptions(grid_n=600, grid_R=20.0)
     "kwargs",
     [{"grid_n": 150.7}, {"grid_n": True}, {"grid_n": "400"},
      {"workers": 1.5}, {"workers": True}, {"workers": "2"},
-     {"grid_R": True}, {"grid_R": "20"}],
+     {"grid_R": True}, {"grid_R": "20"},
+     {"grid_R": float("nan")}, {"grid_R": float("inf")}],
     ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
 )
 def test_phase_options_reject_mistyped_fields(kwargs):
@@ -102,13 +103,10 @@ class TestClassify:
                     abs(v.margin) <= tol and not v.certificate_held
                 )
 
-    def test_non_convergence_yields_inconclusive(self):
-        from cnls.solver import SolverOptions
-
-        opts = PhaseOptions(
-            grid_n=600, grid_R=20.0,
-            solver=SolverOptions(max_iterations=1, random_starts=0),
-        )
+    def test_non_convergence_yields_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "RANDOM_STARTS", 0)
+        opts = PhaseOptions(grid_n=600, grid_R=20.0)
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), opts)
         assert v.verdict == INCONCLUSIVE
         assert not v.diagnostics["solver_converged"]

@@ -12,7 +12,6 @@ from cnls.solver import (
     LEVEL_TIE_TOL,
     SEMITRIVIAL_EPS,
     THETA_TRIV,
-    SolverOptions,
     _Descent,
     _run_starts,
     amplitude_step,
@@ -33,30 +32,6 @@ def grid():
 
 def single_level(lam, mu):
     return SINGLE_LEVEL * lam**1.5 / mu
-
-
-class TestSolverOptions:
-    def test_defaults_valid(self):
-        SolverOptions()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iterations": 0},
-            {"max_iterations": 2.5},
-            {"seed": "12345"},
-            {"random_starts": True},
-            {"random_starts": -1},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverOptions(**kwargs)
-
-    def test_json_load_rejects_unknown_keys(self):
-        assert SolverOptions.from_json_dict({"seed": 3}).seed == 3
-        with pytest.raises(ValueError, match="unknown"):
-            SolverOptions.from_json_dict({"sede": 3})
 
 
 class TestSolitonProfile:
@@ -132,7 +107,7 @@ class TestDescent:
         # would leak the large block into the small one
         g = RadialGrid.make(N, 15.0, 500)
         lam = [1.0, 7.0, 0.3]
-        desc = _Descent(ParameterSet.make(lam, [1.0, 1.0, 1.0], 1.0, N=N), g, SolverOptions())
+        desc = _Descent(ParameterSet.make(lam, [1.0, 1.0, 1.0], 1.0, N=N), g)
         rng = np.random.default_rng(N)
         grad = rng.standard_normal((3, g.n + 1)) * np.array([[1e8], [1e-8], [1.0]])
         grad[:, -1] = 0.0  # as gradient_raw leaves the Dirichlet node
@@ -177,7 +152,7 @@ class TestDescent:
 
         p = ParameterSet.make([1.0], [1.0], 0.0)
         start = soliton_profile(grid, 1.0, 1.0)[None, :]
-        res = _run_starts(Stub(p, grid, SolverOptions()), [start])
+        res = _run_starts(Stub(p, grid), [start])
         assert res.grad_norm == final_gnorm
         assert res.converged is converged
 
@@ -224,7 +199,7 @@ class TestAmplitudeStep:
         semi = minimize_restricted(p, (0,), g)
         start = semi.fields.values.copy()
         start[1] += SEMITRIVIAL_EPS * soliton_profile(g, 1.0, 1.0)
-        desc = _Descent(p, g, SolverOptions())
+        desc = _Descent(p, g)
         values, iterations, _, converged = desc.run(start)
         assert converged and iterations <= 50
         _, level, support, _ = desc.finalize(values)
@@ -267,14 +242,14 @@ class TestMinimizeRestricted:
         assert np.all(res.fields.values[1] == 0.0)
         assert set(res.support) <= {0, 2}
 
-    def test_support_solves_the_subsystem_with_indices_mapped(self, grid):
+    def test_support_solves_the_subsystem_with_indices_mapped(self, grid, monkeypatch):
         # the random starts are keyed by the caller's support indices, so
         # only the soliton start is shared with the native pair
-        opts = SolverOptions(random_starts=0)
+        monkeypatch.setattr(cnls.solver, "RANDOM_STARTS", 0)
         p3 = ParameterSet.make([1.0, 1.3, 0.9], [1.0, 1.1, 0.8], 3.0)
         p2 = ParameterSet.make([1.0, 0.9], [1.0, 0.8], 3.0)
-        res = minimize_restricted(p3, (0, 2), grid, opts)
-        native = minimize_restricted(p2, (0, 1), grid, opts)
+        res = minimize_restricted(p3, (0, 2), grid)
+        native = minimize_restricted(p2, (0, 1), grid)
         assert res.support == (0, 2)
         assert res.level == native.level
         assert (res.iterations, res.grad_norm) == (native.iterations, native.grad_norm)
@@ -364,9 +339,11 @@ class TestGroundState:
         assert res.support == (0, 1)
         assert res.level == pytest.approx(8.0 / 9.0, rel=1e-3)
 
-    def test_non_convergence_is_flagged(self, grid):
+    def test_non_convergence_is_flagged(self, grid, monkeypatch):
+        monkeypatch.setattr(cnls.solver, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(cnls.solver, "RANDOM_STARTS", 0)
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
-        res = ground_state(p, grid, SolverOptions(max_iterations=1, random_starts=0))
+        res = ground_state(p, grid)
         assert not res.converged
 
     def test_degenerate_minimizers_reported_as_alternates(self, grid):
