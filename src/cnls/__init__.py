@@ -11,18 +11,7 @@ closed-form parameter thresholds as checkable predicates.
 
 from .functional import ActionBreakdown, action, action_gradient, action_on_nehari, nehari_scale
 from .grid import MultiField, RadialGrid, default_radius
-from .params import (
-    AdmissibilityReport,
-    ParameterSet,
-    SpreadConditionReport,
-    alpha_threshold,
-    coupling_spread_condition,
-    is_alpha_admissible,
-    lambda_cluster_condition,
-    lambda_tail_condition,
-    small_b_bound,
-    validate,
-)
+from .params import ParameterSet, alpha_threshold, small_b_bound, validate
 from .phase import (
     FULLY_NONTRIVIAL,
     INCONCLUSIVE,
@@ -53,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionBreakdown",
-    "AdmissibilityReport",
     "FULLY_NONTRIVIAL",
     "GroundStateResult",
     "INCONCLUSIVE",
@@ -65,20 +53,15 @@ __all__ = [
     "ReducedSystem",
     "SEMITRIVIAL",
     "SphereMaxResult",
-    "SpreadConditionReport",
     "action",
     "action_gradient",
     "action_on_nehari",
     "alpha_threshold",
     "brute_force_sphere_max",
     "classify",
-    "coupling_spread_condition",
     "default_radius",
     "f_eval",
     "ground_state",
-    "is_alpha_admissible",
-    "lambda_cluster_condition",
-    "lambda_tail_condition",
     "lift_ground_state",
     "minimize_restricted",
     "nehari_scale",

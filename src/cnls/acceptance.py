@@ -141,7 +141,7 @@ def criterion_04_reduction_consistency():
     sup = float(np.max(np.abs(u1 - u2))) / max(
         float(np.max(np.abs(u1))), float(np.max(np.abs(u2))), 1e-300
     )
-    lifted = lift_ground_state(red_res, red.sphere, red.mapping)
+    lifted = lift_ground_state(red_res, red)
     lift_rel = abs(action(lifted, p).action - red_res.level) / abs(red_res.level)
     ok = rel <= 3e-3 and sup <= 1e-3 and lift_rel <= 1e-8
     return ok, (

@@ -208,8 +208,8 @@ def cmd_reduce(config):
         "reduced_parameters": red.reduced.to_json_dict(),
         "sphere_max": red.sphere.to_json_dict(),
         "mapping": {
-            "group": list(red.mapping.group),
-            "retained": list(red.mapping.retained),
+            "group": list(red.group),
+            "retained": list(red.retained),
         },
     }, indent=2, sort_keys=True))
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Problem parameters and closed-form admissibility conditions.
+"""Problem parameters and the paper's closed-form threshold formulas.
 
 The system under study is the weakly coupled cubic Schrodinger system
 
@@ -7,16 +7,9 @@ The system under study is the weakly coupled cubic Schrodinger system
 
 with 1 <= N <= 3, lambda_i > 0, mu_i > 0 and symmetric cooperative
 couplings b_ij = b_ji > 0.  A :class:`ParameterSet` is the full problem
-datum.  The remaining functions are cheap, exact evaluations of the
-closed-form hypotheses that govern whether ground states keep every
-component alive: the max/min ratio ("alpha-admissibility") conditions on
-the lambdas, the spread condition on the couplings, and the small-coupling
-bound below which the ground states are always semitrivial.
-
-All inequalities are strict: a tie (e.g. max = alpha * min) reports "not
-admissible".  None of these predicates runs the numerical solver; the
-classifier in :mod:`cnls.phase` is the arbiter whenever a hypothesis alone
-is not decisive.
+datum.  `alpha_threshold` and `small_b_bound` are the two closed-form
+thresholds of the paper; :func:`cnls.phase.evaluate_predicates` tests a
+parameter set against them.
 """
 
 from __future__ import annotations
@@ -92,10 +85,7 @@ class ParameterSet:
         missing = [k for k in ("d", "N", "lambda", "mu", "b") if k not in obj]
         if missing:
             raise ValueError(f"parameters lack key(s): {missing}")
-        try:
-            lam, mu, b = (np.array(obj[k], dtype=float) for k in ("lambda", "mu", "b"))
-        except TypeError as exc:
-            raise ValueError(f"parameters hold a non-numeric entry: {exc}") from exc
+        lam, mu, b = (np.array(_entries(obj[k], k), dtype=float) for k in ("lambda", "mu", "b"))
         return cls(d=as_int(obj["d"], "d"), N=as_int(obj["N"], "N"), lam=lam, mu=mu, b=b)
 
     def constant_coupling(self):
@@ -116,29 +106,6 @@ class ParameterSet:
             mu=self.mu if mu is None else mu,
             b=self.b if b is None else b,
         )
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of a max/min ratio test against a threshold alpha."""
-
-    alpha: float
-    ratio: float
-    admissible: bool
-
-
-@dataclass(frozen=True)
-class SpreadConditionReport:
-    """Outcome of the coupling-spread condition (equal-lambda systems).
-
-    ``alpha_gap`` is min_i (min_{j != i} b_ij - mu_i); ``spread`` is the
-    largest within-row difference max |b_ij - b_ik| over j, k != i.  The
-    condition holds when alpha_gap > 0 and spread < alpha_gap / (d - 2).
-    """
-
-    alpha_gap: float
-    spread: float
-    holds: bool
 
 
 def values_all_equal(values):
@@ -163,6 +130,14 @@ def as_float(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _entries(value, name):
+    """Nested lists of config entries as floats by the rule of `as_float`, so
+    a string or a bool is an error rather than coerced."""
+    if isinstance(value, list):
+        return [_entries(v, name) for v in value]
+    return as_float(value, f"{name} entry")
 
 
 def index_set(indices, d, name, min_size):
@@ -194,12 +169,13 @@ def validate(p: ParameterSet) -> ParameterSet:
         raise ValueError(f"mu must have length d={p.d}, got shape {p.mu.shape}")
     if p.b.shape != (p.d, p.d):
         raise ValueError(f"b must be a {p.d}x{p.d} matrix, got shape {p.b.shape}")
-    if not np.all(np.isfinite(p.lam)) or np.any(p.lam <= 0):
+    for name, arr in (("lambda", p.lam), ("mu", p.mu), ("coupling matrix", p.b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
+    if np.any(p.lam <= 0):
         raise ValueError("positivity violated: every lambda_i must be > 0")
-    if not np.all(np.isfinite(p.mu)) or np.any(p.mu <= 0):
+    if np.any(p.mu <= 0):
         raise ValueError("positivity violated: every mu_i must be > 0")
-    if not np.all(np.isfinite(p.b)):
-        raise ValueError("coupling matrix has non-finite entries")
     for i in range(p.d):
         for j in range(i + 1, p.d):
             if p.b[i, j] != p.b[j, i]:
@@ -211,27 +187,6 @@ def validate(p: ParameterSet) -> ParameterSet:
                     f"cooperative regime requires b[{i}][{j}] > 0, got {p.b[i, j]}"
                 )
     return p
-
-
-def is_alpha_admissible(a, alpha) -> AdmissibilityReport:
-    """Test max a_i < alpha * min a_i (strictly) for a positive vector.
-
-    The report is scale invariant: multiplying ``a`` by any c > 0 leaves
-    ratio and verdict unchanged.
-    """
-    a = np.atleast_1d(np.array(a, dtype=float))
-    if a.size < 2:
-        raise ValueError(f"admissibility needs at least 2 entries, got {a.size}")
-    if np.any(a <= 0) or not np.all(np.isfinite(a)):
-        raise ValueError("admissibility requires strictly positive entries")
-    alpha = float(alpha)
-    if alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    amax = float(a.max())
-    amin = float(a.min())
-    return AdmissibilityReport(
-        alpha=alpha, ratio=amax / amin, admissible=amax < alpha * amin
-    )
 
 
 def alpha_threshold(omega, d, N):
@@ -281,60 +236,3 @@ def small_b_bound(mu):
     if np.any(mu <= 0):
         raise ValueError("mu entries must be > 0")
     return 2.0 ** (1.0 - d / 2.0) * math.sqrt(float(mu.min()) * float(mu.max()))
-
-
-def coupling_spread_condition(p: ParameterSet) -> SpreadConditionReport:
-    """Spread condition on non-constant couplings for equal-lambda systems.
-
-    Requires d >= 3 and all lambda_i equal (that equality is a hypothesis of
-    the condition, so unequal lambdas are a precondition error, not a False).
-    """
-    if p.d < 3:
-        raise ValueError(f"coupling spread condition requires d >= 3, got d={p.d}")
-    if not values_all_equal(p.lam):
-        raise ValueError(
-            "hypothesis violated: the coupling spread condition assumes "
-            "lambda_1 = ... = lambda_d"
-        )
-    gaps = []
-    spread = 0.0
-    for i in range(p.d):
-        row = np.array([p.b[i, j] for j in range(p.d) if j != i])
-        gaps.append(float(row.min()) - float(p.mu[i]))
-        spread = max(spread, float(row.max() - row.min()))
-    alpha_gap = min(gaps)
-    holds = alpha_gap > 0 and spread < alpha_gap / (p.d - 2)
-    return SpreadConditionReport(alpha_gap=alpha_gap, spread=spread, holds=holds)
-
-
-def lambda_cluster_condition(lam) -> AdmissibilityReport:
-    """Admissibility of the whole lambda vector at alpha = 1 + 1/(d-2).
-
-    When the lambdas cluster this tightly (and the coupling is constant and
-    large), ground states are fully nontrivial.
-    """
-    lam = np.atleast_1d(np.array(lam, dtype=float))
-    d = lam.size
-    if d < 3:
-        raise ValueError(f"lambda cluster condition requires d >= 3, got d={d}")
-    return is_alpha_admissible(lam, 1.0 + 1.0 / (d - 2))
-
-
-def lambda_tail_condition(lam, N) -> AdmissibilityReport:
-    """Admissibility of (lambda_2, ..., lambda_d) at alpha(omega, d, N).
-
-    ``lam`` must be sorted in nondecreasing order; omega = lambda_2/lambda_1.
-    Only the tail must cluster: the two smallest lambdas are unconstrained
-    relative to each other.
-    """
-    lam = np.atleast_1d(np.array(lam, dtype=float))
-    d = lam.size
-    if d < 3:
-        raise ValueError(f"lambda tail condition requires d >= 3, got d={d}")
-    if np.any(np.diff(lam) < 0):
-        raise ValueError("lambda vector must be sorted in nondecreasing order")
-    if np.any(lam <= 0):
-        raise ValueError("lambda entries must be > 0")
-    omega = float(lam[1] / lam[0])
-    alpha = alpha_threshold(omega, d, N)
-    return is_alpha_admissible(lam[1:], alpha)

@@ -32,11 +32,9 @@ import numpy as np
 from .grid import RadialGrid, default_radius
 from .params import (
     ParameterSet,
+    alpha_threshold,
     as_float,
     as_int,
-    coupling_spread_condition,
-    lambda_cluster_condition,
-    lambda_tail_condition,
     small_b_bound,
     values_all_equal,
 )
@@ -142,8 +140,29 @@ def _report(name, numbers, unmet=None, satisfied=False):
     return PredicateReport(name, True, satisfied, numbers)
 
 
+def _ratio_below(values, alpha):
+    """max/min of ``values`` and whether max < alpha * min (strictly)."""
+    vmax, vmin = float(values.max()), float(values.min())
+    return vmax / vmin, vmax < alpha * vmin
+
+
 def evaluate_predicates(p: ParameterSet):
-    """Evaluate every closed-form hypothesis for ``p``.
+    """Evaluate the paper's closed-form conditions for ``p``.
+
+    With lambda sorted, lambda_1 <= ... <= lambda_d, and d >= 3:
+
+      * ``lambda_tail``: max/min of (lambda_2, ..., lambda_d) is below
+        alpha = alpha_threshold(lambda_2/lambda_1, d, N);
+      * ``lambda_cluster``: max/min of the whole lambda vector is below
+        alpha = 1 + 1/(d - 2);
+      * ``coupling_spread`` (equal lambdas only): alpha_gap > 0 and
+        spread < alpha_gap/(d - 2), where alpha_gap = min_i (min_{j != i}
+        b_ij - mu_i) and spread = max_i (max_{j != i} b_ij - min_{j != i} b_ij).
+
+    With d >= 2, ``small_coupling``: the constant coupling b is below
+    small_b_bound(mu).  The two lambda conditions and small_coupling
+    require a constant coupling.  Every inequality is strict: a tie such as
+    max = alpha * min does not satisfy its condition.
 
     Each report's ``info`` carries the numbers of its condition wherever they
     are defined; a report that does not apply adds the ``reason``.
@@ -152,22 +171,22 @@ def evaluate_predicates(p: ParameterSet):
     b_const = p.constant_coupling()
     nonconstant = None if b_const is not None else "requires constant coupling"
     if p.d >= 3:
-        tail = lambda_tail_condition(np.sort(p.lam), p.N)
+        lam = np.sort(p.lam)
+        alpha = alpha_threshold(lam[1] / lam[0], p.d, p.N)
+        ratio, below = _ratio_below(lam[1:], alpha)
         out["lambda_tail"] = _report(
-            "lambda_tail", {"alpha": tail.alpha, "ratio": tail.ratio},
-            nonconstant, tail.admissible,
-        )
-        cluster = lambda_cluster_condition(p.lam)
+            "lambda_tail", {"alpha": alpha, "ratio": ratio}, nonconstant, below)
+        alpha = 1.0 + 1.0 / (p.d - 2)
+        ratio, below = _ratio_below(lam, alpha)
         out["lambda_cluster"] = _report(
-            "lambda_cluster", {"alpha": cluster.alpha, "ratio": cluster.ratio},
-            nonconstant, cluster.admissible,
-        )
+            "lambda_cluster", {"alpha": alpha, "ratio": ratio}, nonconstant, below)
         if values_all_equal(p.lam):
-            spread = coupling_spread_condition(p)
+            off = p.b[~np.eye(p.d, dtype=bool)].reshape(p.d, p.d - 1)  # row i: b_ij, j != i
+            alpha_gap = float((off.min(axis=1) - p.mu).min())
+            spread = float((off.max(axis=1) - off.min(axis=1)).max())
             out["coupling_spread"] = _report(
-                "coupling_spread",
-                {"alpha_gap": spread.alpha_gap, "spread": spread.spread},
-                satisfied=spread.holds,
+                "coupling_spread", {"alpha_gap": alpha_gap, "spread": spread},
+                satisfied=alpha_gap > 0 and spread < alpha_gap / (p.d - 2),
             )
         else:
             out["coupling_spread"] = _report("coupling_spread", {}, "requires equal lambdas")

@@ -55,23 +55,18 @@ class SphereMaxResult:
 
 
 @dataclass(frozen=True)
-class ReductionMap:
-    """Bookkeeping for a merge: which indices collapsed, which remain.
+class ReducedSystem:
+    """A merge: the reduced parameters, the sphere maximum, and which indices
+    collapsed (``group``) and which remain (``retained``).
 
     The reduced system orders the merged component first, then the retained
     components in ascending original order.
     """
 
+    reduced: ParameterSet
+    sphere: SphereMaxResult
     group: tuple
     retained: tuple
-    d_full: int
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    reduced: ParameterSet
-    mapping: ReductionMap
-    sphere: SphereMaxResult
 
 
 def f_eval(X, mu, b):
@@ -204,33 +199,27 @@ def reduce_system(p: ParameterSet, group) -> ReducedSystem:
     b_red = np.full((d_red, d_red), b)
     np.fill_diagonal(b_red, 0.0)
     reduced = ParameterSet(d=d_red, N=p.N, lam=lam_red, mu=mu_red, b=b_red)
-    mapping = ReductionMap(group=group, retained=retained, d_full=p.d)
-    return ReducedSystem(reduced=reduced, mapping=mapping, sphere=sphere)
+    return ReducedSystem(reduced=reduced, sphere=sphere, group=group, retained=retained)
 
 
-def lift_ground_state(reduced_result: GroundStateResult, sphere: SphereMaxResult,
-                      mapping: ReductionMap) -> MultiField:
-    """Expand a reduced minimizer back to the full system.
+def lift_ground_state(reduced_result: GroundStateResult, red: ReducedSystem) -> MultiField:
+    """Expand a minimizer of ``red.reduced`` back to the full system.
 
     The merged profile u is distributed over the group as X_repr[i] * u; the
     retained components pass through.  The lifted fields have the same
     action under the full parameters as the reduced level (the splitting
     f(X_repr) = f_max makes the quartic terms match identically).
     """
-    k = len(mapping.group)
-    d_red = 1 + len(mapping.retained)
-    if reduced_result.fields.d != d_red:
+    if reduced_result.fields.d != red.reduced.d:
         raise ValueError(
             f"mapping mismatch: reduced result has d={reduced_result.fields.d}, "
-            f"expected {d_red}"
+            f"expected {red.reduced.d}"
         )
-    if sphere.X_repr.size != k:
-        raise ValueError("mapping mismatch: sphere maximizer has wrong length")
     grid = reduced_result.fields.grid
     merged = reduced_result.fields.values[0]
-    out = np.zeros((mapping.d_full, grid.n + 1))
-    for pos, i in enumerate(mapping.group):
-        out[i] = float(sphere.X_repr[pos]) * merged
-    for pos, i in enumerate(mapping.retained, start=1):
+    out = np.zeros((len(red.group) + len(red.retained), grid.n + 1))
+    for pos, i in enumerate(red.group):
+        out[i] = float(red.sphere.X_repr[pos]) * merged
+    for pos, i in enumerate(red.retained, start=1):
         out[i] = reduced_result.fields.values[pos]
     return MultiField(grid, out)

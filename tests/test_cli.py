@@ -122,6 +122,8 @@ class TestSolve:
         ("solve", lambda c: c["grid"].update(R=float("nan"))),
         ("sweep --workers 1000000", lambda c: c.update(
             parameters=PAIR["parameters"], sweep={"axes": [{"path": "b", "values": [3.0]}]})),
+        ("solve", lambda c: c["parameters"].update(mu=["1.0"])),
+        ("solve", lambda c: c["parameters"].update(b=[[True]])),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
@@ -129,7 +131,7 @@ class TestSolve:
             "string-check_truncation", "misspelt-key", "removed-margin_tol",
             "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
             "unknown-reduce-key", "unknown-output-key", "repeated-axis-path",
-            "unknown-axis-key", "nan-R", "workers-over-cap"])
+            "unknown-axis-key", "nan-R", "workers-over-cap", "string-mu", "bool-b"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
@@ -310,6 +312,28 @@ class TestThresholds:
         assert "alpha_threshold" in out and "2.25" in out
         assert "lambda_tail_condition" in out and "-> admissible" in out
         assert "n/a (requires equal lambdas)" in out
+
+    def test_single_equation_table(self, tmp_path, capsys):
+        assert main(["thresholds", write_config(tmp_path, SINGLE)]) == 0
+        assert capsys.readouterr().out == (
+            "alpha_threshold            n/a (requires d >= 3)\n"
+            "lambda_tail_condition      n/a (requires d >= 3)\n"
+            "lambda_cluster_condition   n/a (requires d >= 3)\n"
+            "coupling_spread_condition  n/a (requires d >= 3)\n"
+            "small_coupling_bound       n/a (requires d >= 2)\n"
+        )
+
+    def test_pair_table(self, tmp_path, capsys):
+        cfg = {"parameters": {"d": 2, "N": 2, "lambda": [1.0, 1.5], "mu": [1.0, 4.0],
+                              "b": [[0.0, 0.5], [0.5, 0.0]]}}
+        assert main(["thresholds", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out == (
+            "alpha_threshold            n/a (requires d >= 3)\n"
+            "lambda_tail_condition      n/a (requires d >= 3)\n"
+            "lambda_cluster_condition   n/a (requires d >= 3)\n"
+            "coupling_spread_condition  n/a (requires d >= 3)\n"
+            "small_coupling_bound       bound=2 b=0.5 -> below\n"
+        )
 
 
 class TestSelftest:

@@ -1,19 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cnls.params import (
-    ParameterSet,
-    alpha_threshold,
-    coupling_spread_condition,
-    is_alpha_admissible,
-    lambda_cluster_condition,
-    lambda_tail_condition,
-    small_b_bound,
-    validate,
-    values_all_equal,
-)
+from cnls.params import ParameterSet, alpha_threshold, small_b_bound, validate, values_all_equal
+from cnls.phase import evaluate_predicates
 
 
 def test_validate_accepts_symmetric_cooperative_pair():
@@ -31,6 +23,31 @@ def test_validate_rejects_nonpositive_mu():
     with pytest.raises(ValueError, match="positivity"):
         ParameterSet(d=2, N=1, lam=np.ones(2), mu=np.array([1.0, 0.0]),
                      b=np.array([[0.0, 2.0], [2.0, 0.0]]))
+
+
+def test_validate_rejects_nonpositive_lambda():
+    with pytest.raises(ValueError, match="positivity"):
+        ParameterSet.make([1.0, 0.0], [1.0, 1.0], 2.0)
+
+
+PAIR_JSON = {"d": 2, "N": 1, "lambda": [1.0, 1.0], "mu": [1.0, 1.0],
+             "b": [[0.0, 2.0], [2.0, 0.0]]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mu", ["1.0", 1.0]), ("mu", [True, 1.0]), ("lambda", [1.0, False]),
+    ("b", [[0.0, "2"], ["2", 0.0]]), ("b", [[0.0, True], [True, 0.0]]), ("lambda", [1.0, None]),
+])
+def test_from_json_rejects_coerced_entries(key, value):
+    with pytest.raises(ValueError, match=f"{key} entry must be a number"):
+        ParameterSet.from_json_dict({**PAIR_JSON, key: value})
+
+
+@pytest.mark.parametrize("key", ["lambda", "mu"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_validate_rejects_nonfinite_lambda_and_mu(key, value):
+    with pytest.raises(ValueError, match=f"^{key} has non-finite entries$"):
+        ParameterSet.from_json_dict({**PAIR_JSON, key: [value, 1.0]})
 
 
 def test_validate_rejects_bad_dimension():
@@ -72,38 +89,38 @@ def test_constant_coupling_detection():
     assert ParameterSet.make([1.0], [1.0], 0.0).constant_coupling() is None
 
 
+def predicates_of(lam, mu=None, b=3.0, N=1):
+    """`evaluate_predicates` of a parameter set; ``mu`` defaults to ones."""
+    mu = [1.0] * len(lam) if mu is None else mu
+    return evaluate_predicates(ParameterSet.make(lam, mu, b, N=N))
+
+
 class TestAlphaAdmissible:
+    """The strict max < alpha * min test of lambda_tail and lambda_cluster."""
+
     def test_equal_vector_always_admissible(self):
-        rep = is_alpha_admissible([1.0, 1.0, 1.0], 1.0001)
-        assert rep.admissible and rep.ratio == 1.0
+        preds = predicates_of([0.7, 0.7, 0.7])
+        for name in ("lambda_tail", "lambda_cluster"):
+            assert preds[name].info["ratio"] == 1.0 and preds[name].satisfied
 
     def test_boundary_tie_is_not_admissible(self):
-        assert not is_alpha_admissible([1.0, 2.0], 2.0).admissible
+        cluster = predicates_of([1.0, 1.5, 2.0])["lambda_cluster"]  # alpha = 2
+        assert (cluster.info["alpha"], cluster.info["ratio"]) == (2.0, 2.0)
+        assert cluster.applicable and not cluster.satisfied
 
     def test_strictly_inside_is_admissible(self):
-        assert is_alpha_admissible([1.0, 1.4, 1.9], 2.0).admissible
-
-    @pytest.mark.parametrize("bad,alpha", [([1.0], 2.0), ([], 2.0)])
-    def test_rejects_short_vectors(self, bad, alpha):
-        with pytest.raises(ValueError):
-            is_alpha_admissible(bad, alpha)
-
-    def test_rejects_nonpositive_entries_and_alpha(self):
-        with pytest.raises(ValueError):
-            is_alpha_admissible([1.0, -1.0], 2.0)
-        with pytest.raises(ValueError):
-            is_alpha_admissible([1.0, 2.0], 1.0)
+        assert predicates_of([1.0, 1.4, 1.9])["lambda_cluster"].satisfied
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            a = rng.uniform(0.2, 5.0, size=rng.integers(2, 6))
-            alpha = rng.uniform(1.01, 4.0)
+            lam = rng.uniform(0.2, 5.0, size=rng.integers(3, 6))
             c = rng.uniform(1e-3, 1e3)
-            r1 = is_alpha_admissible(a, alpha)
-            r2 = is_alpha_admissible(c * a, alpha)
-            assert r1.admissible == r2.admissible
-            assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
+            base, scaled = predicates_of(lam), predicates_of(c * lam)
+            for name in ("lambda_tail", "lambda_cluster"):
+                assert scaled[name].satisfied == base[name].satisfied
+                assert scaled[name].info["ratio"] == pytest.approx(base[name].info["ratio"],
+                                                                    rel=1e-12)
 
 
 class TestAlphaThreshold:
@@ -163,30 +180,25 @@ class TestSmallBBound:
 
 class TestCouplingSpread:
     def test_constant_coupling_holds(self):
-        p = ParameterSet.make([1.0] * 3, [1.0] * 3, 2.0)
-        rep = coupling_spread_condition(p)
-        assert rep.alpha_gap == pytest.approx(1.0)
-        assert rep.spread == 0.0
-        assert rep.holds
+        spread = predicates_of([1.0] * 3, b=2.0)["coupling_spread"]
+        assert spread.info == {"alpha_gap": 1.0, "spread": 0.0}
+        assert spread.applicable and spread.satisfied
 
     def test_spread_too_wide_fails(self):
         b = [[0, 2.0, 2.0], [2.0, 0, 3.5], [2.0, 3.5, 0]]
-        p = ParameterSet.make([1.0] * 3, [1.0] * 3, b)
-        rep = coupling_spread_condition(p)
-        assert rep.alpha_gap == pytest.approx(1.0)
-        assert rep.spread == pytest.approx(1.5)
-        assert not rep.holds
+        spread = predicates_of([1.0] * 3, b=b)["coupling_spread"]
+        assert spread.info["alpha_gap"] == pytest.approx(1.0)
+        assert spread.info["spread"] == pytest.approx(1.5)
+        assert spread.applicable and not spread.satisfied
 
     def test_four_equations_constant(self):
-        p = ParameterSet.make([1.0] * 4, [1.0] * 4, 5.0)
-        rep = coupling_spread_condition(p)
-        assert rep.alpha_gap == pytest.approx(4.0)
-        assert rep.holds
+        spread = predicates_of([1.0] * 4, b=5.0)["coupling_spread"]
+        assert spread.info["alpha_gap"] == pytest.approx(4.0) and spread.satisfied
 
-    def test_unequal_lambda_is_a_precondition_error(self):
-        p = ParameterSet.make([1.0, 1.0, 1.5], [1.0] * 3, 2.0)
-        with pytest.raises(ValueError, match="lambda"):
-            coupling_spread_condition(p)
+    def test_unequal_lambda_is_not_applicable(self):
+        spread = predicates_of([1.0, 1.0, 1.5], b=2.0)["coupling_spread"]
+        assert not spread.applicable
+        assert spread.info == {"reason": "requires equal lambdas"}
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -195,36 +207,37 @@ class TestCouplingSpread:
         b[iu] = rng.uniform(2.0, 2.3, size=len(iu[0]))
         b = b + b.T
         mu = rng.uniform(0.5, 1.5, size=4)
-        p = ParameterSet.make([1.0] * 4, mu, b)
-        base = coupling_spread_condition(p)
+        base = predicates_of([1.0] * 4, mu, b)["coupling_spread"]
         perm = rng.permutation(4)
-        q = ParameterSet.make([1.0] * 4, mu[perm], b[np.ix_(perm, perm)])
-        rep = coupling_spread_condition(q)
-        assert rep.holds == base.holds
-        assert rep.alpha_gap == pytest.approx(base.alpha_gap, rel=1e-14)
-        assert rep.spread == pytest.approx(base.spread, abs=1e-14)
+        rep = predicates_of([1.0] * 4, mu[perm], b[np.ix_(perm, perm)])["coupling_spread"]
+        assert rep.satisfied == base.satisfied
+        assert rep.info["alpha_gap"] == pytest.approx(base.info["alpha_gap"], rel=1e-14)
+        assert rep.info["spread"] == pytest.approx(base.info["spread"], abs=1e-14)
 
 
 class TestLambdaConditions:
     def test_cluster_examples(self):
-        assert lambda_cluster_condition([1.0, 1.5, 1.9]).admissible  # alpha = 2
-        rep = lambda_cluster_condition([1.0, 1.2, 1.4, 1.6])  # alpha = 1.5
-        assert rep.alpha == pytest.approx(1.5) and not rep.admissible
-        assert lambda_cluster_condition([0.7, 0.7, 0.7]).admissible
+        assert predicates_of([1.0, 1.5, 1.9])["lambda_cluster"].satisfied  # alpha = 2
+        cluster = predicates_of([1.0, 1.2, 1.4, 1.6])["lambda_cluster"]  # alpha = 1.5
+        assert cluster.info["alpha"] == pytest.approx(1.5) and not cluster.satisfied
+        assert predicates_of([0.7, 0.7, 0.7])["lambda_cluster"].satisfied
 
     def test_cluster_needs_three(self):
-        with pytest.raises(ValueError):
-            lambda_cluster_condition([1.0, 2.0])
+        preds = predicates_of([1.0, 2.0])
+        for name in ("lambda_tail", "lambda_cluster"):
+            assert not preds[name].applicable
+            assert preds[name].info == {"reason": "requires d >= 3"}
 
     def test_tail_examples(self):
-        rep = lambda_tail_condition([1.0, 1.0, 1.0], 3)
-        assert rep.alpha == pytest.approx(2.25) and rep.admissible
-        assert not lambda_tail_condition([1.0, 1.0, 2.3], 3).admissible
-        assert lambda_tail_condition([1.0, 1.0, 2.2], 3).admissible
+        tail = predicates_of([1.0, 1.0, 1.0], N=3)["lambda_tail"]
+        assert tail.info["alpha"] == pytest.approx(2.25) and tail.satisfied
+        assert not predicates_of([1.0, 1.0, 2.3], N=3)["lambda_tail"].satisfied
+        assert predicates_of([1.0, 1.0, 2.2], N=3)["lambda_tail"].satisfied
 
-    def test_tail_requires_sorted_input(self):
-        with pytest.raises(ValueError, match="sorted"):
-            lambda_tail_condition([2.0, 1.0, 3.0], 1)
+    def test_tail_sorts_lambda_itself(self):
+        tail = predicates_of([2.0, 1.0, 3.0])["lambda_tail"]
+        assert tail.to_json_dict() == predicates_of([1.0, 2.0, 3.0])["lambda_tail"].to_json_dict()
+        assert tail.info["alpha"] == alpha_threshold(2.0, 3, 1) and tail.info["ratio"] == 1.5
 
 
 def test_values_all_equal_tolerance():

@@ -135,7 +135,80 @@ class TestClassify:
         assert "fully_nontrivial" in blob
 
 
+#: ``to_json_dict()`` of every predicate report, (applicable, satisfied,
+#: info) by name, for (lambda, mu, b, N): d = 1..4, equal and unequal
+#: lambda, constant and non-constant b, and the ties b = bound (d=2),
+#: max = alpha * min (cluster at d=3) and spread = alpha_gap/(d - 2).
+PREDICATE_TABLE = [
+    (([1.0], [1.0], 0.0, 1), {
+        "lambda_tail": (False, None, {"reason": "requires d >= 3"}),
+        "lambda_cluster": (False, None, {"reason": "requires d >= 3"}),
+        "coupling_spread": (False, None, {"reason": "requires d >= 3"}),
+        "small_coupling": (False, None, {"reason": "requires d >= 2"}),
+    }),
+    (([1.0, 2.0], [1.0, 1.0], 1.0, 2), {
+        "lambda_tail": (False, None, {"reason": "requires d >= 3"}),
+        "lambda_cluster": (False, None, {"reason": "requires d >= 3"}),
+        "coupling_spread": (False, None, {"reason": "requires d >= 3"}),
+        "small_coupling": (True, False, {"bound": 1.0, "b": 1.0}),
+    }),
+    (([1.0, 1.5, 2.0], [1.0, 1.0, 1.0], 3.0, 3), {
+        "lambda_tail": (True, True, {"alpha": 1.7777777777777777, "ratio": 1.3333333333333333}),
+        "lambda_cluster": (True, False, {"alpha": 2.0, "ratio": 2.0}),
+        "coupling_spread": (False, None, {"reason": "requires equal lambdas"}),
+        "small_coupling": (True, False, {"bound": 0.7071067811865476, "b": 3.0}),
+    }),
+    (([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [[0, 2, 3], [2, 0, 2], [3, 2, 0]], 1), {
+        "lambda_tail": (False, None, {"alpha": 1.3103706971044482, "ratio": 1.0,
+            "reason": "requires constant coupling"}),
+        "lambda_cluster": (False, None, {"alpha": 2.0, "ratio": 1.0,
+            "reason": "requires constant coupling"}),
+        "coupling_spread": (True, False, {"alpha_gap": 1.0, "spread": 1.0}),
+        "small_coupling": (False, None, {"bound": 0.7071067811865476,
+            "reason": "requires constant coupling"}),
+    }),
+    (([1.0, 1.0, 2.2], [1.0, 1.0, 1.0], 3.0, 3), {
+        "lambda_tail": (True, True, {"alpha": 2.2499999999999996, "ratio": 2.2}),
+        "lambda_cluster": (True, False, {"alpha": 2.0, "ratio": 2.2}),
+        "coupling_spread": (False, None, {"reason": "requires equal lambdas"}),
+        "small_coupling": (True, False, {"bound": 0.7071067811865476, "b": 3.0}),
+    }),
+    (([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 0.5], 5.0, 2), {
+        "lambda_tail": (True, True, {"alpha": 1.1096632706157292, "ratio": 1.0}),
+        "lambda_cluster": (True, True, {"alpha": 1.5, "ratio": 1.0}),
+        "coupling_spread": (True, True, {"alpha_gap": 3.0, "spread": 0.0}),
+        "small_coupling": (True, False, {"bound": 0.5, "b": 5.0}),
+    }),
+    (([1.0, 1.2, 1.4, 1.6], [1.0, 1.0, 1.0, 1.0], 0.1, 1), {
+        "lambda_tail": (True, False, {"alpha": 1.063682431309745, "ratio": 1.3333333333333335}),
+        "lambda_cluster": (True, False, {"alpha": 1.5, "ratio": 1.6}),
+        "coupling_spread": (False, None, {"reason": "requires equal lambdas"}),
+        "small_coupling": (True, True, {"bound": 0.5, "b": 0.10000000000000002}),
+    }),
+    (([1.6, 1.0, 1.4, 1.2], [0.5, 1.0, 1.5, 2.0],
+      [[0, 2, 2.5, 3], [2, 0, 3.5, 4], [2.5, 3.5, 0, 4.5], [3, 4, 4.5, 0]], 3), {
+        "lambda_tail": (False, None, {"alpha": 1.2034719111488794, "ratio": 1.3333333333333335,
+            "reason": "requires constant coupling"}),
+        "lambda_cluster": (False, None, {"alpha": 1.5, "ratio": 1.6,
+            "reason": "requires constant coupling"}),
+        "coupling_spread": (False, None, {"reason": "requires equal lambdas"}),
+        "small_coupling": (False, None, {"bound": 0.5, "reason": "requires constant coupling"}),
+    }),
+]
+
+
 class TestPredicates:
+    @pytest.mark.parametrize("case, expected", PREDICATE_TABLE,
+                             ids=[f"{k}-d{len(c[0])}" for k, (c, _) in enumerate(PREDICATE_TABLE)])
+    def test_reports_match_table(self, case, expected):
+        lam, mu, b, N = case
+        preds = evaluate_predicates(ParameterSet.make(lam, mu, b, N=N))
+        assert list(preds) == list(expected)
+        assert {name: rep.to_json_dict() for name, rep in preds.items()} == {
+            name: {"name": name, "applicable": a, "satisfied": s, "info": info}
+            for name, (a, s, info) in expected.items()
+        }
+
     def test_nonconstant_coupling_disables_lambda_predicates(self):
         b = [[0, 2.0, 2.0], [2.0, 0, 3.0], [2.0, 3.0, 0]]
         p = ParameterSet.make([1.0] * 3, [1.0] * 3, b)

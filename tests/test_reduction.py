@@ -131,7 +131,7 @@ class TestReduceSystem:
         assert np.allclose(red.reduced.lam, [1.0, 2.0])
         assert np.allclose(red.reduced.mu, [2.0, 1.0])
         assert red.reduced.constant_coupling() == pytest.approx(3.0)
-        assert red.mapping.retained == (2,)
+        assert red.retained == (2,)
 
     def test_full_merge_gives_single_equation(self):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
@@ -177,7 +177,7 @@ class TestLift:
         red = reduce_system(p, (0, 1))
         g = RadialGrid.make(1, 20.0, 1500)
         res = ground_state(red.reduced, g)
-        lifted = lift_ground_state(res, red.sphere, red.mapping)
+        lifted = lift_ground_state(res, red)
         assert lifted.d == 2
         assert np.array_equal(lifted.values[0], lifted.values[1])
         assert np.allclose(lifted.values[0], res.fields.values[0] / np.sqrt(2.0))
@@ -189,7 +189,7 @@ class TestLift:
         red = reduce_system(p, (0, 1))
         g = RadialGrid.make(1, 20.0, 1000)
         res = ground_state(red.reduced, g)
-        lifted = lift_ground_state(res, red.sphere, red.mapping)
+        lifted = lift_ground_state(res, red)
         assert action(lifted, p).action == pytest.approx(res.level, rel=1e-8)
 
     def test_lift_of_zero_merged_component(self):
@@ -205,7 +205,7 @@ class TestLift:
             fields=MultiField(g, vals), level=0.0, support=(1,),
             iterations=0, grad_norm=0.0, starts_used=1, converged=True,
         )
-        lifted = lift_ground_state(fake, red.sphere, red.mapping)
+        lifted = lift_ground_state(fake, red)
         assert np.all(lifted.values[0] == 0.0)
         assert np.all(lifted.values[1] == 0.0)
         assert np.array_equal(lifted.values[2], vals[1])
@@ -216,7 +216,7 @@ class TestLift:
         g = RadialGrid.make(1, 10.0, 200)
         res = ground_state(ParameterSet.make([1.0], [1.0], 0.0), g)
         with pytest.raises(ValueError, match="mismatch"):
-            lift_ground_state(res, red.sphere, red.mapping)
+            lift_ground_state(res, red)
 
 
 def test_reduction_consistency_end_to_end():
