@@ -9,11 +9,10 @@ point.  All randomness is seeded; repeated runs produce identical reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import grid as grid_mod
 from .functional import action, action_gradient, action_on_nehari, nehari_scale
 from .grid import MultiField, RadialGrid, default_radius, wdot
 from .params import ParameterSet, small_b_bound
@@ -165,13 +164,13 @@ def criterion_05_scaling_identities():
     g = RadialGrid.make(1, 20.0, 1500)
     u = MultiField(g, np.array([(1.0 + 0.1 * i) * soliton_profile(g, p.lam[i], p.mu[i])
                                 for i in range(p.d)]))
-    p_unit = p.replace(mu=p.mu / b, b=np.ones((2, 2)) - np.eye(2))
+    p_unit = replace(p, mu=p.mu / b, b=np.ones((2, 2)))
     lhs, rhs = action_on_nehari(u, p), action_on_nehari(u, p_unit) / b
     b_err = abs(lhs - rhs) / abs(rhs)
 
     single, sigma = ParameterSet.make([1.0], [1.0], 0.0, N=1), 4.0
     base = ground_state(single, g).level
-    scaled = ground_state(single.replace(lam=sigma * single.lam),
+    scaled = ground_state(replace(single, lam=sigma * single.lam),
                           RadialGrid.make(1, g.R / np.sqrt(sigma), g.n)).level
     expect = sigma ** ((4.0 - single.N) / 2.0) * base
     lam_err = abs(scaled - expect) / abs(expect)
@@ -324,12 +323,8 @@ def run_criterion(cid) -> CriterionResult:
     raise ValueError(f"unknown criterion id {cid!r}")
 
 
-def run_acceptance(only=None, fault_weight_scale=0.0):
-    """Run all (or selected) criteria; returns the list of results.
-
-    ``fault_weight_scale`` is a test-mode hook that corrupts quadrature
-    weights so the harness can be shown to catch a broken build.
-    """
+def run_acceptance(only=None):
+    """Run all (or selected) criteria; returns the list of results."""
     ids = [c[0] for c in CRITERIA]
     if only:
         wanted = {str(x).zfill(2) for x in only}
@@ -337,9 +332,4 @@ def run_acceptance(only=None, fault_weight_scale=0.0):
         if unknown:
             raise ValueError(f"unknown criterion id(s): {sorted(unknown)}")
         ids = [c for c in ids if c in wanted]
-    old = grid_mod._FAULT_WEIGHT_SCALE
-    grid_mod._FAULT_WEIGHT_SCALE = float(fault_weight_scale)
-    try:
-        return [run_criterion(cid) for cid in ids]
-    finally:
-        grid_mod._FAULT_WEIGHT_SCALE = old
+    return [run_criterion(cid) for cid in ids]

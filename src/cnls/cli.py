@@ -242,8 +242,7 @@ def cmd_selftest(args):
     only = None
     if args.only:
         only = [tok.strip() for tok in args.only.split(",") if tok.strip()]
-    fault = 0.05 if args.inject_fault else 0.0
-    results = run_acceptance(only=only, fault_weight_scale=fault)
+    results = run_acceptance(only=only)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.cid} {res.name}")
@@ -280,8 +279,6 @@ def _build_parser():
     st = sub.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--only", default=None,
                     help="comma-separated criterion ids (e.g. 01,03,10)")
-    st.add_argument("--inject-fault", action="store_true",
-                    help=argparse.SUPPRESS)  # test-mode: corrupt quadrature
     return parser
 
 

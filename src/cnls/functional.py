@@ -52,14 +52,6 @@ def _check_dims(u: MultiField, p: ParameterSet):
         raise ValueError(f"dimension mismatch: fields have d={u.d}, parameters d={p.d}")
 
 
-def _coupling_raw(p: ParameterSet, v2):
-    """Row i is sum_{j != i} b_ij v_j^2: one product with the diagonal of b
-    zeroed, since the diagonal is ignored."""
-    b_off = np.array(p.b)
-    np.fill_diagonal(b_off, 0.0)
-    return b_off @ v2
-
-
 def action_parts_raw(grid, values, p: ParameterSet):
     """Return (q, M) for a (d, n+1) array: q_i = ||u_i||^2_{lambda_i},
     M_ii = mu_i |u_i|_4^4 and M_ij = b_ij |u_i u_j|_2^2 (i != j).
@@ -85,9 +77,10 @@ def action_parts_raw(grid, values, p: ParameterSet):
 
 def gradient_raw(grid, values, p: ParameterSet):
     """Weighted-pairing gradient of the action as a (d, n+1) array; the
-    nonlinear part is built in place (at large n temporaries cost most)."""
+    nonlinear part is built in place (at large n temporaries cost most).
+    Row i of ``p.b @ v2`` is sum_{j != i} b_ij v_j^2, as b_ii is stored 0."""
     v2 = values * values
-    nonlin = _coupling_raw(p, v2)
+    nonlin = p.b @ v2
     nonlin += p.mu[:, None] * v2
     nonlin *= values
     out = neg_lap_plus_raw(grid, values, p.lam)

@@ -26,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import as_float, as_int
+
 S_FACTOR = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
-#: Test-mode fault injection: scales quadrature weights by (1 + value) so a
-#: self-test harness can prove it detects corrupted quadrature.  Keep at 0.
+#: Fault injection for tests: scales quadrature weights by (1 + value) so a
+#: test can prove the acceptance suite and the benchmark's check catch
+#: corrupted quadrature.  Keep at 0.
 _FAULT_WEIGHT_SCALE = 0.0
 
 
@@ -71,9 +74,7 @@ class RadialGrid:
 
     @classmethod
     def make(cls, N, R, n):
-        N = int(N)
-        R = float(R)
-        n = int(n)
+        N, R, n = as_int(N, "N"), as_float(R, "R"), as_int(n, "n")
         if N not in (1, 2, 3):
             raise ValueError(f"N must be 1, 2 or 3, got {N}")
         if not 0 < R < math.inf:

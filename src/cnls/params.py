@@ -7,9 +7,12 @@ The system under study is the weakly coupled cubic Schrodinger system
 
 with 1 <= N <= 3, lambda_i > 0, mu_i > 0 and symmetric cooperative
 couplings b_ij = b_ji > 0.  A :class:`ParameterSet` is the full problem
-datum.  `alpha_threshold` and `small_b_bound` are the two closed-form
-thresholds of the paper; :func:`cnls.phase.evaluate_predicates` tests a
-parameter set against them.
+datum and owns these rules: every way of building one (the constructor,
+`ParameterSet.make`, `ParameterSet.from_json_dict`, `dataclasses.replace`,
+`ParameterSet.restrict`) checks the same entry rule and stores b with its
+diagonal zeroed, since b_ii is not a parameter.  `alpha_threshold` and
+`small_b_bound` are the two closed-form thresholds of the paper;
+:func:`cnls.phase.evaluate_predicates` tests a parameter set against them.
 """
 
 from __future__ import annotations
@@ -32,8 +35,12 @@ class ParameterSet:
     """The full problem datum: d equations on R^N with coefficient arrays.
 
     ``lam`` and ``mu`` are length-d vectors of positive reals, ``b`` is the
-    d x d symmetric coupling matrix whose diagonal is ignored.  Construction
-    runs `validate`, so every instance satisfies the standing hypotheses.
+    d x d symmetric coupling matrix.  Construction is the one entry check:
+    ``d`` and ``N`` must be integers and every entry of ``lam``, ``mu`` and
+    ``b`` a real number, not a string or a bool (lists, tuples and arrays
+    alike; `ValueError` otherwise), then `validate` runs, so every instance
+    satisfies the standing hypotheses.  The diagonal of ``b`` is not a
+    parameter: it is stored, and echoed by `to_json_dict`, as 0.
     """
 
     d: int
@@ -43,36 +50,28 @@ class ParameterSet:
     b: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.lam, dtype=float)
-        mu = np.array(self.mu, dtype=float)
-        b = np.array(self.b, dtype=float)
-        for arr in (lam, mu, b):
-            arr.flags.writeable = False
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "b", b)
+        checked = {"d": as_int(self.d, "d"), "N": as_int(self.N, "N"),
+                   "lam": _real_array(self.lam, "lambda"), "mu": _real_array(self.mu, "mu"),
+                   "b": _real_array(self.b, "b")}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         validate(self)
+        np.fill_diagonal(self.b, 0.0)
+        for arr in (self.lam, self.mu, self.b):
+            arr.flags.writeable = False
 
     @classmethod
     def make(cls, lam, mu, b, N=1):
-        """Build a parameter set; ``b`` may be a scalar (constant coupling).
-
-        A scalar ``b`` fills every off-diagonal entry; the diagonal is zero.
-        """
-        lam = np.atleast_1d(np.array(lam, dtype=float))
-        mu = np.atleast_1d(np.array(mu, dtype=float))
+        """Build a parameter set; a scalar ``b`` fills every coupling."""
+        lam = np.atleast_1d(_real_array(lam, "lambda"))
         d = len(lam)
-        if np.isscalar(b) or np.ndim(b) == 0:
-            bm = np.full((d, d), float(b))
-            np.fill_diagonal(bm, 0.0)
-        else:
-            bm = np.array(b, dtype=float)
-        return cls(d=d, N=int(N), lam=lam, mu=mu, b=bm)
+        return cls(d=d, N=N, lam=lam, mu=np.atleast_1d(_real_array(mu, "mu")),
+                   b=np.full((d, d), b) if np.ndim(b) == 0 else b)
 
     def to_json_dict(self):
         return {
-            "d": int(self.d),
-            "N": int(self.N),
+            "d": self.d,
+            "N": self.N,
             "lambda": [float(x) for x in self.lam],
             "mu": [float(x) for x in self.mu],
             "b": [[float(x) for x in row] for row in self.b],
@@ -85,8 +84,7 @@ class ParameterSet:
         missing = [k for k in ("d", "N", "lambda", "mu", "b") if k not in obj]
         if missing:
             raise ValueError(f"parameters lack key(s): {missing}")
-        lam, mu, b = (np.array(_entries(obj[k], k), dtype=float) for k in ("lambda", "mu", "b"))
-        return cls(d=as_int(obj["d"], "d"), N=as_int(obj["N"], "N"), lam=lam, mu=mu, b=b)
+        return cls(d=obj["d"], N=obj["N"], lam=obj["lambda"], mu=obj["mu"], b=obj["b"])
 
     def constant_coupling(self):
         """Return the common off-diagonal coupling, or None if not constant."""
@@ -97,15 +95,13 @@ class ParameterSet:
             return float(off.mean())
         return None
 
-    def replace(self, lam=None, mu=None, b=None):
-        """Copy with some coefficient arrays replaced (revalidated)."""
-        return ParameterSet(
-            d=self.d,
-            N=self.N,
-            lam=self.lam if lam is None else lam,
-            mu=self.mu if mu is None else mu,
-            b=self.b if b is None else b,
-        )
+    def restrict(self, support):
+        """The subsystem on ``support`` = I: the equations in I, with
+        parameters lam[I], mu[I] and b[I, I], indexed 0..|I|-1 in the
+        sorted order of I."""
+        rows = list(index_set(support, self.d, "support", 1))
+        return ParameterSet(d=len(rows), N=self.N, lam=self.lam[rows], mu=self.mu[rows],
+                            b=self.b[np.ix_(rows, rows)])
 
 
 def values_all_equal(values):
@@ -133,11 +129,21 @@ def as_float(value, name):
 
 
 def _entries(value, name):
-    """Nested lists of config entries as floats by the rule of `as_float`, so
-    a string or a bool is an error rather than coerced."""
-    if isinstance(value, list):
+    """Nested lists, tuples or arrays of entries as floats by the rule of
+    `as_float`, so a string or a bool is an error rather than coerced."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
         return [_entries(v, name) for v in value]
     return as_float(value, f"{name} entry")
+
+
+def _real_array(value, name):
+    """``value`` as a new float array whose entries pass `_entries`; an
+    array of integers or floats needs no check per entry."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.array(value, dtype=float)
+    return np.array(_entries(value, name), dtype=float)
 
 
 def index_set(indices, d, name, min_size):
@@ -159,7 +165,7 @@ def validate(p: ParameterSet) -> ParameterSet:
 
     Raises ValueError naming the first violated invariant.
     """
-    if int(p.d) < 1:
+    if p.d < 1:
         raise ValueError(f"d must be >= 1, got {p.d}")
     if p.N not in (1, 2, 3):
         raise ValueError(f"N must be 1, 2 or 3, got {p.N}")

@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,31 +278,29 @@ def set_parameter(p: ParameterSet, path, value) -> ParameterSet:
     m = _PATH_RE.match(path)
     if not m:
         raise ValueError(f"bad parameter path: {path!r}")
-    value = float(value)
+    value = as_float(value, path)
     if path == "b":
-        bm = np.array(p.b)
-        bm[~np.eye(p.d, dtype=bool)] = value
-        return p.replace(b=bm)
+        return replace(p, b=np.full((p.d, p.d), value))
     if path.startswith("lambda["):
         i = int(m.group(2))
         if not 0 <= i < p.d:
             raise ValueError(f"lambda index {i} out of range for d={p.d}")
         lam = np.array(p.lam)
         lam[i] = value
-        return p.replace(lam=lam)
+        return replace(p, lam=lam)
     if path.startswith("mu["):
         i = int(m.group(3))
         if not 0 <= i < p.d:
             raise ValueError(f"mu index {i} out of range for d={p.d}")
         mu = np.array(p.mu)
         mu[i] = value
-        return p.replace(mu=mu)
+        return replace(p, mu=mu)
     i, j = int(m.group(4)), int(m.group(5))
     if i == j or not (0 <= i < p.d and 0 <= j < p.d):
         raise ValueError(f"bad coupling indices in path {path!r} for d={p.d}")
     bm = np.array(p.b)
     bm[i, j] = bm[j, i] = value
-    return p.replace(b=bm)
+    return replace(p, b=bm)
 
 
 @dataclass(frozen=True)
@@ -314,10 +312,11 @@ class SweepPoint:
 def _restricted_key(p: ParameterSet, subset, opts: PhaseOptions):
     """Everything `minimize_restricted` reads for ``subset`` of ``p`` at the
     fixed options of a sweep: the support (its random starts are seeded by
-    the support), the grid and the exact restricted parameters."""
-    rows = list(subset)
-    return (subset, (p.N, _radius(p, opts), opts.grid_n), p.lam[rows].tobytes(),
-            p.mu[rows].tobytes(), p.b[np.ix_(rows, rows)].tobytes())
+    the support), the grid and the subsystem `ParameterSet.restrict` gives,
+    the one the solver minimizes."""
+    sub = p.restrict(subset)
+    return (subset, (p.N, _radius(p, opts), opts.grid_n), sub.lam.tobytes(),
+            sub.mu.tobytes(), sub.b.tobytes())
 
 
 def _solve_restricted(args):

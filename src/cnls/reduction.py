@@ -196,9 +196,8 @@ def reduce_system(p: ParameterSet, group) -> ReducedSystem:
     for pos, i in enumerate(retained, start=1):
         lam_red[pos] = p.lam[i]
         mu_red[pos] = p.mu[i]
-    b_red = np.full((d_red, d_red), b)
-    np.fill_diagonal(b_red, 0.0)
-    reduced = ParameterSet(d=d_red, N=p.N, lam=lam_red, mu=mu_red, b=b_red)
+    reduced = ParameterSet(d=d_red, N=p.N, lam=lam_red, mu=mu_red,
+                           b=np.full((d_red, d_red), b))
     return ReducedSystem(reduced=reduced, sphere=sphere, group=group, retained=retained)
 
 

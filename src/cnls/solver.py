@@ -2,8 +2,8 @@
 
 The level c(I) of a support I is the ground-state level of the subsystem
 made of the equations in I, so `minimize_restricted` solves that subsystem
-as a system of its own (parameters lam[I], mu[I], b[I, I]) and embeds the
-minimizer with zero rows outside I.
+(`ParameterSet.restrict`: lam[I], mu[I], b[I, I]) as a system of its own
+and embeds the minimizer with zero rows outside I.
 
 The minimization runs on the constraint surface tau(u) = 0, which is free
 to enforce because the rescaling is closed form: every iterate is projected
@@ -347,8 +347,8 @@ def _run_starts(desc: _Descent, starts) -> GroundStateResult:
 def minimize_restricted(p: ParameterSet, support, grid: RadialGrid) -> GroundStateResult:
     """Approximate the ground-state level of the subsystem on ``support``.
 
-    The subsystem keeps the equations in I = ``support`` (parameters
-    lam[I], mu[I], b[I, I]) and is minimized as a system of its own.  The
+    The subsystem ``p.restrict(support)`` keeps the equations in I =
+    ``support`` and is minimized as a system of its own.  The
     result has d rows, identically zero outside I, and its ``support`` and
     ``alternates`` use the indices of ``p``.  The start inventory is the
     subsystem's soliton start plus RANDOM_STARTS seeded random starts.
@@ -356,9 +356,7 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid) -> GroundSta
     A non-converged run is still returned, flagged via ``converged=False``.
     """
     support = index_set(support, p.d, "support", 1)
-    rows = list(support)
-    sub = ParameterSet(d=len(rows), N=p.N, lam=p.lam[rows], mu=p.mu[rows],
-                       b=p.b[np.ix_(rows, rows)])
+    sub = p.restrict(support)
     bitmask = sum(1 << i for i in support)
     starts = [_soliton_start(sub, grid)] + [
         _random_start(sub, grid, np.random.default_rng([SEED, 17, bitmask, k]))
@@ -367,7 +365,7 @@ def minimize_restricted(p: ParameterSet, support, grid: RadialGrid) -> GroundSta
 
     res = _run_starts(_Descent(sub, grid), starts)
     embedded = np.zeros((p.d, grid.n + 1))
-    embedded[rows] = res.fields.values
+    embedded[list(support)] = res.fields.values
 
     def lift(s):
         return tuple(support[i] for i in s)

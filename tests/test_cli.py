@@ -195,6 +195,19 @@ class TestClassify:
         assert verdict["classification"]["verdict"] == "fully_nontrivial"
         assert "predicates" in verdict["classification"]
 
+    def test_diagonal_of_b_is_ignored_and_echoed_as_zero(self, tmp_path, capsys):
+        runs = []
+        for name, diagonal in (("zero", [0.0, 0.0]), ("nonzero", [5.0, 7.0])):
+            b = [[diagonal[0], 3.0], [3.0, diagonal[1]]]
+            cfg = {**PAIR, "parameters": {**PAIR["parameters"], "b": b},
+                   "output": {"dir": str(tmp_path / name)}}
+            assert main(["classify", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            verdict = json.loads((tmp_path / name / "verdict.json").read_text())
+            del verdict["config_sha256"]
+            runs.append((capsys.readouterr().out, verdict))
+        assert runs[1] == runs[0]
+        assert runs[1][1]["parameters"]["b"] == [[0.0, 3.0], [3.0, 0.0]]
+
 
 class TestSweep:
     def test_zero_axes_behaves_as_classify(self, tmp_path):
@@ -279,9 +292,15 @@ class TestReduce:
         }
         assert main(["reduce", write_config(tmp_path, cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["reduced_parameters"]["lambda"] == [1.0, 2.0]
-        assert payload["reduced_parameters"]["mu"] == [2.0, 1.0]
-        assert payload["sphere_max"]["f_max"] == 2.0
+        half = 0.7071067811865476
+        assert payload == {
+            "mapping": {"group": [0, 1], "retained": [2]},
+            "reduced_parameters": {"N": 1, "b": [[0.0, 3.0], [3.0, 0.0]], "d": 2,
+                                   "lambda": [1.0, 2.0], "mu": [2.0, 1.0]},
+            "sphere_max": {"X_description": {"magnitudes": [half, half],
+                                             "type": "sign_choices"},
+                           "X_repr": [half, half], "f_max": 2.0, "regime": "interior"},
+        }
 
     def test_nonconstant_coupling_exit_1(self, tmp_path, capsys):
         cfg = {
@@ -345,8 +364,9 @@ class TestSelftest:
         out2 = capsys.readouterr().out
         assert out1 == out2
 
-    def test_fault_injection_is_detected(self, capsys):
-        assert main(["selftest", "--only", "01", "--inject-fault"]) == 1
+    def test_fault_injection_is_detected(self, capsys, monkeypatch):
+        monkeypatch.setattr("cnls.grid._FAULT_WEIGHT_SCALE", 0.05)
+        assert main(["selftest", "--only", "01"]) == 1
         assert "FAIL 01" in capsys.readouterr().out
 
     def test_unknown_criterion_rejected(self, capsys):

@@ -64,10 +64,21 @@ def test_make_rejects_a_radius_that_is_not_finite_and_positive(R):
         RadialGrid.make(1, R, 10)
 
 
+@pytest.mark.parametrize("N, R, n, message", [
+    (1.9, 20.0, 2000, "N must be an integer"), (1, 20.0, 2000.7, "n must be an integer"),
+    (1, True, 2000, "R must be a number"), (True, 20.0, 2000, "N must be an integer"),
+    (1, "20", 2000, "R must be a number"), (1, 20.0, 2000.0, "n must be an integer"),
+])
+def test_make_rejects_arguments_it_would_coerce(N, R, n, message):
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        RadialGrid.make(N, R, n)
+
+
 def test_grid_reconstructs_from_metadata():
     g = RadialGrid.make(3, 12.5, 640)
     g2 = RadialGrid.make(**g.to_json_dict())
     assert g2.key == g.key
+    assert RadialGrid.make(np.int64(3), np.float64(12.5), np.int32(640)).key == g.key
     assert np.array_equal(g2.weights, g.weights)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from cnls.params import ParameterSet, alpha_threshold, small_b_bound, validate, values_all_equal
-from cnls.phase import evaluate_predicates
+from cnls.phase import evaluate_predicates, set_parameter
 
 
 def test_validate_accepts_symmetric_cooperative_pair():
@@ -41,6 +42,78 @@ PAIR_JSON = {"d": 2, "N": 1, "lambda": [1.0, 1.0], "mu": [1.0, 1.0],
 def test_from_json_rejects_coerced_entries(key, value):
     with pytest.raises(ValueError, match=f"{key} entry must be a number"):
         ParameterSet.from_json_dict({**PAIR_JSON, key: value})
+
+
+PAIR = ParameterSet.from_json_dict(PAIR_JSON)
+
+#: Every way of building a parameter set, as f(lambda, mu, b, N=1[, d=2]).
+WAYS_IN = {
+    "constructor": lambda lam, mu, b, N=1, d=2: ParameterSet(d=d, N=N, lam=lam, mu=mu, b=b),
+    "make": lambda lam, mu, b, N=1: ParameterSet.make(lam, mu, b, N=N),
+    "from_json": lambda lam, mu, b, N=1, d=2: ParameterSet.from_json_dict(
+        {"d": d, "N": N, "lambda": lam, "mu": mu, "b": b}),
+    "replace": lambda lam, mu, b, N=1, d=2: dataclasses.replace(PAIR, d=d, N=N, lam=lam,
+                                                                mu=mu, b=b),
+}
+
+
+# the JSON path has its own cases in test_from_json_rejects_coerced_entries
+@pytest.mark.parametrize("way", sorted(set(WAYS_IN) - {"from_json"}))
+@pytest.mark.parametrize("key, value", [
+    ("lambda", ["1.0", 1.0]), ("lambda", [1.0, True]), ("lambda", ("1", True)),
+    ("mu", [1, "2"]), ("mu", np.array([True, True])), ("mu", np.array(["1", "2"])),
+    ("b", "3"), ("b", True), ("b", [[0.0, "2"], ["2", 0.0]]),
+    ("b", np.array([[0.0, True], [True, 0.0]], dtype=object)), ("b", [[0.0, 2j], [2j, 0.0]]),
+])
+def test_every_way_in_rejects_coerced_entries(way, key, value):
+    args = {"lambda": [1.0, 1.0], "mu": [1.0, 1.0], "b": [[0.0, 2.0], [2.0, 0.0]], key: value}
+    with pytest.raises(ValueError, match=f"^{key} entry must be a number, got "):
+        WAYS_IN[way](args["lambda"], args["mu"], args["b"])
+
+
+@pytest.mark.parametrize("way, key, value", [
+    (way, key, value) for way in sorted(WAYS_IN)
+    for key, value in (("N", 1.9), ("N", True), ("N", "1"), ("d", 2.0))
+    if (way, key) != ("make", "d")  # make takes d from len(lambda)
+])
+def test_every_way_in_rejects_non_integer_d_and_N(way, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        WAYS_IN[way]([1.0, 1.0], [1.0, 1.0], [[0.0, 2.0], [2.0, 0.0]], **{key: value})
+
+
+@pytest.mark.parametrize("way", sorted(WAYS_IN))
+def test_every_way_in_stores_the_diagonal_of_b_as_zero(way):
+    p = WAYS_IN[way]([1.0, 2.0], [1.0, 1.0], np.array([[5.0, 2.0], [2.0, 7.0]]), N=2)
+    assert p.to_json_dict() == {"d": 2, "N": 2, "lambda": [1.0, 2.0], "mu": [1.0, 1.0],
+                                "b": [[0.0, 2.0], [2.0, 0.0]]}
+    assert type(p.d) is int and type(p.N) is int and not p.b.flags.writeable
+
+
+def test_numpy_scalars_and_integer_arrays_are_accepted():
+    p = ParameterSet(d=np.int64(2), N=np.int32(1), lam=np.array([1, 2]), mu=[np.float64(1.0), 1],
+                     b=np.array([[0, 3], [3, 0]]))
+    q = ParameterSet.make(np.array([1.0, 2.0]), (1, 1.0), np.float64(3.0), N=np.int64(1))
+    assert p.to_json_dict() == q.to_json_dict()
+
+
+@pytest.mark.parametrize("path, value", [("b", True), ("b", "3"), ("lambda[0]", "2"),
+                                         ("b[0][1]", False), ("mu[1]", None)])
+def test_set_parameter_rejects_coerced_values(path, value):
+    with pytest.raises(ValueError, match="must be a number, got "):
+        set_parameter(PAIR, path, value)
+
+
+def test_restrict_is_the_subsystem_on_the_support():
+    b = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
+    p = ParameterSet.make([1.0, 1.5, 2.0], [0.5, 1.0, 1.5], b, N=3)
+    q = p.restrict((2, 0))
+    assert q.d == 2 and q.N == 3
+    assert np.array_equal(q.lam, p.lam[[0, 2]]) and np.array_equal(q.mu, p.mu[[0, 2]])
+    assert np.array_equal(q.b, p.b[np.ix_([0, 2], [0, 2])])
+    assert p.restrict(range(3)).to_json_dict() == p.to_json_dict()
+    for bad in ((), (3,), (0.5,), (True,), ("1",)):
+        with pytest.raises(ValueError, match="support"):
+            p.restrict(bad)
 
 
 @pytest.mark.parametrize("key", ["lambda", "mu"])

@@ -451,7 +451,7 @@ class TestPerturbationCertificate:
         b = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
         p = ParameterSet.make([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], b)
         assert perturbation_certificate(p, semi3) == (1,)
-        assert perturbation_certificate(p.replace(b=b * 4.0), semi3) == (1, 2)
+        assert perturbation_certificate(replace(p, b=b * 4.0), semi3) == (1, 2)
 
     def test_unstable_when_coupling_dominates(self):
         # with the missing lambda no larger than a surviving one and the
