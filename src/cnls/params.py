@@ -50,9 +50,9 @@ class ParameterSet:
     b: np.ndarray
 
     def __post_init__(self):
-        checked = {"d": as_int(self.d, "d"), "N": as_int(self.N, "N"),
-                   "lam": _real_array(self.lam, "lambda"), "mu": _real_array(self.mu, "mu"),
-                   "b": _real_array(self.b, "b")}
+        checked = {"d": as_int(self.d, "d"), "N": as_int(self.N, "N")}
+        for field, name in (("lam", "lambda"), ("mu", "mu"), ("b", "b")):
+            checked[field] = np.array(_entries(getattr(self, field), name), dtype=float)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         validate(self)
@@ -63,9 +63,9 @@ class ParameterSet:
     @classmethod
     def make(cls, lam, mu, b, N=1):
         """Build a parameter set; a scalar ``b`` fills every coupling."""
-        lam = np.atleast_1d(_real_array(lam, "lambda"))
+        lam = lam if np.ndim(lam) else [lam]
         d = len(lam)
-        return cls(d=d, N=N, lam=lam, mu=np.atleast_1d(_real_array(mu, "mu")),
+        return cls(d=d, N=N, lam=lam, mu=mu if np.ndim(mu) else [mu],
                    b=np.full((d, d), b) if np.ndim(b) == 0 else b)
 
     def to_json_dict(self):
@@ -136,14 +136,6 @@ def _entries(value, name):
     if isinstance(value, (list, tuple)):
         return [_entries(v, name) for v in value]
     return as_float(value, f"{name} entry")
-
-
-def _real_array(value, name):
-    """``value`` as a new float array whose entries pass `_entries`; an
-    array of integers or floats needs no check per entry."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
-        return np.array(value, dtype=float)
-    return np.array(_entries(value, name), dtype=float)
 
 
 def index_set(indices, d, name, min_size):
