@@ -37,10 +37,6 @@ class CriterionResult:
     seconds: float
     budget: float
 
-    @property
-    def in_budget(self):
-        return self.seconds < self.budget
-
 
 def _smooth_bump(grid, rng, nonneg=False):
     r = grid.nodes

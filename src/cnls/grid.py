@@ -10,10 +10,12 @@ The weights integrate the piecewise-linear interpolant against the exact
 r^(N-1) measure (closed-form cell moments), so the sum of weights equals
 the volume of the ball to machine precision for every N; for N = 1 they
 reduce to the classic trapezoid rule with a half-weight axis node.  The
-gradient part of the H^1 norm uses the matching piecewise-constant
-derivative against the same measure, which makes `neg_lap_plus_raw` the
-exact representation of the quadratic form in the weighted pairing:
-<Au, u>_w == h1_sq_raw(grid, u, lam) up to roundoff.
+gradient part uses the matching piecewise-constant derivative: cell j adds
+conductance_j (u_{j+1} - u_j)^2, the cell's exact measure over its squared
+length.  The kernels read only ``weights`` and ``conductance``, so all
+spacing arithmetic lives in `RadialGrid.make`.  `neg_lap_plus_raw` and
+`operator_tridiag` (the one matrix of -Laplace + V) represent the quadratic
+form exactly: <Au, u>_w == h1_sq_raw(grid, u, lam) up to roundoff.
 
 The unknown u = (u_1, ..., u_d) is a `MultiField`, or a bare (d, n+1) array
 on the hot path; the kernels below take bare arrays.
@@ -60,17 +62,17 @@ class RadialGrid:
     """Uniform radial grid with exact-moment quadrature weights.
 
     ``weights[j]`` integrates nodal values (including the s_N r^(N-1)
-    factor); ``cell_weights[j]`` is the exact measure of cell
-    [r_j, r_{j+1}], used by the gradient quadrature.
+    factor); ``conductance[j]`` is the exact measure of cell
+    [r_j, r_{j+1}] over the squared cell length, used by the gradient
+    quadrature.
     """
 
     N: int
     R: float
     n: int
-    h: float
     nodes: np.ndarray
     weights: np.ndarray
-    cell_weights: np.ndarray
+    conductance: np.ndarray
 
     @classmethod
     def make(cls, N, R, n):
@@ -90,14 +92,13 @@ class RadialGrid:
         weights = np.zeros(n + 1)
         weights[:-1] += s * (b * m0 - m1) / h
         weights[1:] += s * (m1 - a * m0) / h
-        cell_weights = s * m0
+        conductance = s * m0 / h**2
         if _FAULT_WEIGHT_SCALE:
             weights = weights * (1.0 + _FAULT_WEIGHT_SCALE)
-            cell_weights = cell_weights * (1.0 + _FAULT_WEIGHT_SCALE)
-        for arr in (nodes, weights, cell_weights):
+            conductance = conductance * (1.0 + _FAULT_WEIGHT_SCALE)
+        for arr in (nodes, weights, conductance):
             arr.flags.writeable = False
-        return cls(N=N, R=R, n=n, h=h, nodes=nodes, weights=weights,
-                   cell_weights=cell_weights)
+        return cls(N=N, R=R, n=n, nodes=nodes, weights=weights, conductance=conductance)
 
     @property
     def key(self):
@@ -147,8 +148,8 @@ def wdot(grid, a, b):
 
 def h1_sq_raw(grid, values, lam):
     """Discrete integral of |u'|^2 + lam*u^2 (weighted by s_N r^(N-1))."""
-    du = (values[1:] - values[:-1]) / grid.h
-    stiff = float(np.dot(grid.cell_weights, du * du))
+    du = values[1:] - values[:-1]
+    stiff = float(np.dot(grid.conductance, du * du))
     mass = float(np.dot(grid.weights, values * values))
     return stiff + lam * mass
 
@@ -167,7 +168,7 @@ def neg_lap_plus_raw(grid, values, lam):
     closure of the quadratic form; node n is the Dirichlet node and returns 0.
     """
     n = grid.n
-    flux = grid.cell_weights * (values[..., 1:] - values[..., :-1]) / grid.h**2
+    flux = grid.conductance * (values[..., 1:] - values[..., :-1])
     out = np.empty_like(values)
     out[..., 0] = -flux[..., 0]
     out[..., 1:n] = flux[..., : n - 1] - flux[..., 1:n]
@@ -178,14 +179,14 @@ def neg_lap_plus_raw(grid, values, lam):
     return out
 
 
-def stiffness_tridiag(grid):
-    """(diag, off) of the n x n tridiagonal matrix K of -Laplace on the free
-    nodes 0..n-1 (the Dirichlet node n is dropped), in the weighted pairing:
-    u^T K u is the gradient part of h1_sq_raw, so K + diag(lam * weights[:n])
-    represents the quadratic form of -Laplace + lam exactly."""
-    n, sig = grid.n, grid.cell_weights
-    diag = np.append(sig[0], sig[: n - 1] + sig[1:n]) / grid.h**2
-    return diag, -sig[: n - 1] / grid.h**2
+def operator_tridiag(grid, potential):
+    """(diag, off) of the n x n tridiagonal matrix K + W V of -Laplace + V on
+    the free nodes 0..n-1 (the Dirichlet node n is dropped), in the weighted
+    pairing: W = diag(weights[:n]), ``potential`` V is a scalar or one value
+    per free node, and u^T (K + W lam) u == h1_sq_raw(grid, u, lam)."""
+    n, c = grid.n, grid.conductance
+    diag = np.append(c[0], c[: n - 1] + c[1:n]) + grid.weights[:n] * potential
+    return diag, -c[: n - 1]
 
 
 def write_profiles_csv(mf: MultiField, fobj, meta=None):

@@ -52,7 +52,12 @@ class ParameterSet:
     def __post_init__(self):
         checked = {"d": as_int(self.d, "d"), "N": as_int(self.N, "N")}
         for field, name in (("lam", "lambda"), ("mu", "mu"), ("b", "b")):
-            checked[field] = np.array(_entries(getattr(self, field), name), dtype=float)
+            entries = _entries(getattr(self, field), name)
+            try:
+                checked[field] = np.array(entries, dtype=float)
+            except ValueError:  # numpy's message names neither the array nor the rule
+                raise ValueError(f"{name} must be a rectangular array, got ragged rows "
+                                 f"{entries}") from None
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         validate(self)
@@ -63,10 +68,10 @@ class ParameterSet:
     @classmethod
     def make(cls, lam, mu, b, N=1):
         """Build a parameter set; a scalar ``b`` fills every coupling."""
-        lam = lam if np.ndim(lam) else [lam]
+        lam = [lam] if _scalar(lam) else lam
         d = len(lam)
-        return cls(d=d, N=N, lam=lam, mu=mu if np.ndim(mu) else [mu],
-                   b=np.full((d, d), b) if np.ndim(b) == 0 else b)
+        return cls(d=d, N=N, lam=lam, mu=[mu] if _scalar(mu) else mu,
+                   b=np.full((d, d), b) if _scalar(b) else b)
 
     def to_json_dict(self):
         return {
@@ -126,6 +131,12 @@ def as_float(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _scalar(value):
+    """True unless ``value`` is a list, a tuple or an array of dimension > 0;
+    lists are told by type, since numpy cannot size a ragged one."""
+    return not isinstance(value, (list, tuple)) and np.ndim(value) == 0
 
 
 def _entries(value, name):

@@ -266,7 +266,7 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
 # Parameter sweeps
 # --------------------------------------------------------------------------
 
-_PATH_RE = re.compile(r"^(b|lambda\[(\d+)\]|mu\[(\d+)\]|b\[(\d+)\]\[(\d+)\])$")
+_PATH_RE = re.compile(r"^(b|(lambda|mu)\[(\d+)\]|b\[(\d+)\]\[(\d+)\])$")
 
 
 def set_parameter(p: ParameterSet, path, value) -> ParameterSet:
@@ -281,20 +281,14 @@ def set_parameter(p: ParameterSet, path, value) -> ParameterSet:
     value = as_float(value, path)
     if path == "b":
         return replace(p, b=np.full((p.d, p.d), value))
-    if path.startswith("lambda["):
-        i = int(m.group(2))
+    if m.group(2):  # lambda[i] or mu[i]
+        name, i = m.group(2), int(m.group(3))
         if not 0 <= i < p.d:
-            raise ValueError(f"lambda index {i} out of range for d={p.d}")
-        lam = np.array(p.lam)
-        lam[i] = value
-        return replace(p, lam=lam)
-    if path.startswith("mu["):
-        i = int(m.group(3))
-        if not 0 <= i < p.d:
-            raise ValueError(f"mu index {i} out of range for d={p.d}")
-        mu = np.array(p.mu)
-        mu[i] = value
-        return replace(p, mu=mu)
+            raise ValueError(f"{name} index {i} out of range for d={p.d}")
+        field = "lam" if name == "lambda" else "mu"
+        entries = np.array(getattr(p, field))
+        entries[i] = value
+        return replace(p, **{field: entries})
     i, j = int(m.group(4)), int(m.group(5))
     if i == j or not (0 <= i < p.d and 0 <= j < p.d):
         raise ValueError(f"bad coupling indices in path {path!r} for d={p.d}")

@@ -44,7 +44,7 @@ from scipy.linalg import cho_solve_banded  # noqa: F401  (perfbench/tracing.py w
 from scipy.linalg.lapack import dgesv, dpotrf, dpttrf, dpttrs
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw
-from .grid import MultiField, RadialGrid, l4_raw, stiffness_tridiag
+from .grid import MultiField, RadialGrid, l4_raw, operator_tridiag
 from .params import ParameterSet, index_set
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -171,12 +171,10 @@ class _Descent:
         diag(U)^2, E = superdiag(U) / diag(U)[:-1], and E = 0 at block joins."""
         g, d, n = self.grid, self.p.d, self.grid.n
         if self._ldl is None:
-            diag, off = stiffness_tridiag(g)
-            ab = np.array([np.append(0.0, off), diag])
             D, E = np.empty((d, n)), np.zeros((d, n))
             for i in range(d):
-                ab[1] = diag + float(self.p.lam[i]) * g.weights[:n]
-                U = cholesky_banded(ab)
+                diag, off = operator_tridiag(g, float(self.p.lam[i]))
+                U = cholesky_banded(np.array([np.append(0.0, off), diag]))
                 D[i] = U[1] ** 2
                 E[i, :-1] = U[0, 1:] / U[1, :-1]
             self._ldl = D.ravel(), E.ravel()[:-1]
@@ -475,16 +473,14 @@ def perturbation_certificate(p: ParameterSet, semi: GroundStateResult) -> tuple:
     positive definite.  Returns the unstable slots in increasing order.
     """
     g = semi.fields.grid
-    n = g.n
-    diag, off = stiffness_tridiag(g)
     alive = list(semi.support)
-    u2 = semi.fields.values[alive, :n] ** 2
+    u2 = semi.fields.values[alive, :g.n] ** 2
     unstable = []
     for i0 in range(p.d):
         if i0 in semi.support:
             continue
         potential = float(p.lam[i0]) - p.b[alive, i0] @ u2
-        info = dpttrf(diag + g.weights[:n] * potential, off)[2]
+        info = dpttrf(*operator_tridiag(g, potential))[2]
         if info < 0:
             raise ValueError(f"dpttrf rejected its arguments (info={info})")
         if info > 0:

@@ -7,6 +7,7 @@ criteria back the `cnls selftest` command.
 
 import pytest
 
+import cnls.acceptance
 from cnls.acceptance import CRITERIA, run_criterion
 
 
@@ -16,4 +17,11 @@ def test_criterion(cid, name):
     status = "PASS" if res.passed else "FAIL"
     print(f"{status} {res.cid} {res.name} [{res.seconds:.2f}s/{res.budget:.0f}s]: {res.detail}")
     assert res.passed, f"criterion {cid} ({name}): {res.detail}"
-    assert res.in_budget, f"criterion {cid} exceeded budget: {res.seconds:.1f}s"
+
+
+def test_a_pass_over_budget_is_a_failure(monkeypatch):
+    monkeypatch.setattr(cnls.acceptance, "CRITERIA",
+                        (("99", "trivial", lambda: (True, "ok"), 0.0),))
+    res = run_criterion("99")
+    assert res.passed is False
+    assert res.detail.startswith("ok") and "exceeded budget" in res.detail

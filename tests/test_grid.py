@@ -12,6 +12,7 @@ from cnls.grid import (
     h1_sq_raw,
     l4_raw,
     neg_lap_plus_raw,
+    operator_tridiag,
     wdot,
     write_profiles_csv,
 )
@@ -44,11 +45,12 @@ def test_weights_integrate_ball_volume(N, R, n):
 def test_nodes_increasing_and_half_weight_axis():
     g = RadialGrid.make(1, 10.0, 100)
     assert np.all(np.diff(g.nodes) > 0)
-    assert g.h > 0
+    h = g.nodes[1]
+    assert h > 0
     # N=1: half-line with even symmetry, trapezoid weights 2h with half ends
-    assert g.weights[0] == pytest.approx(g.h, rel=1e-14)
-    assert g.weights[1] == pytest.approx(2 * g.h, rel=1e-14)
-    assert g.weights[-1] == pytest.approx(g.h, rel=1e-14)
+    assert g.weights[0] == pytest.approx(h, rel=1e-14)
+    assert g.weights[1] == pytest.approx(2 * h, rel=1e-14)
+    assert g.weights[-1] == pytest.approx(h, rel=1e-14)
 
 
 def test_default_radius():
@@ -181,6 +183,31 @@ class TestOperator:
         lam = 1.3
         pair = wdot(g, neg_lap_plus_raw(g, vals, lam), vals)
         assert pair == pytest.approx(h1_sq_raw(g, vals, lam), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_tridiagonal_and_flux_forms_agree(self, N):
+        # operator_tridiag is K + W V on the free nodes; neg_lap_plus_raw
+        # applies W^-1 K + lam node by node, so W times it is the same matrix
+        g = RadialGrid.make(N, 12.0, 400)
+        n, w = g.n, g.weights[:g.n]
+        rng = np.random.default_rng(N)
+        u = rng.standard_normal(n + 1)
+        u[-1] = 0.0
+        lam, V = 1.7, rng.uniform(-2.0, 2.0, n)
+
+        def apply(potential):
+            diag, off = operator_tridiag(g, potential)
+            out = diag * u[:n]
+            out[:-1] += off * u[1:n]
+            out[1:] += off * u[: n - 1]
+            return out
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        assert close(apply(lam), w * neg_lap_plus_raw(g, u, lam)[:n])
+        assert u[:n] @ apply(lam) == pytest.approx(h1_sq_raw(g, u, lam), rel=1e-12)
+        assert close(apply(V), w * (neg_lap_plus_raw(g, u, 0.0)[:n] + V * u[:n]))
 
     def test_soliton_residual_second_order(self):
         # -u'' + u - u^3 = 0 for the exact soliton; the discrete residual is

@@ -82,6 +82,17 @@ def test_every_way_in_rejects_non_integer_d_and_N(way, key, value):
 
 
 @pytest.mark.parametrize("way", sorted(WAYS_IN))
+@pytest.mark.parametrize("key, value", [
+    ("lambda", [[1, 2], [3]]), ("lambda", [1, [1, 2]]), ("mu", [1.0, [1.0]]),
+    ("b", [[0, 1], [1]]), ("b", [[0.0, 1.0], 1.0]),
+])
+def test_every_way_in_names_a_ragged_array(way, key, value):
+    args = {"lambda": [1.0, 1.0], "mu": [1.0, 1.0], "b": [[0.0, 2.0], [2.0, 0.0]], key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be a rectangular array, got ragged "):
+        WAYS_IN[way](args["lambda"], args["mu"], args["b"])
+
+
+@pytest.mark.parametrize("way", sorted(WAYS_IN))
 def test_every_way_in_stores_the_diagonal_of_b_as_zero(way):
     p = WAYS_IN[way]([1.0, 2.0], [1.0, 1.0], np.array([[5.0, 2.0], [2.0, 7.0]]), N=2)
     assert p.to_json_dict() == {"d": 2, "N": 2, "lambda": [1.0, 2.0], "mu": [1.0, 1.0],

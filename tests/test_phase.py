@@ -238,6 +238,9 @@ class TestSetParameter:
         for path in ("c", "lambda[5]", "b[0][0]", "lambda", "mu[-1]"):
             with pytest.raises(ValueError):
                 set_parameter(p, path, 1.0)
+        for name in ("lambda", "mu"):
+            with pytest.raises(ValueError, match=f"^{name} index 2 out of range for d=2$"):
+                set_parameter(p, f"{name}[2]", 1.0)
 
 
 class TestSweep:

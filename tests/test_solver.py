@@ -6,7 +6,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 import cnls.solver
 from cnls.functional import action, action_parts_raw
-from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, stiffness_tridiag
+from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, operator_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
     LEVEL_TIE_TOL,
@@ -115,13 +115,13 @@ class TestDescent:
         rhs, gnorm = desc._weigh(grad)
         assert gnorm == pytest.approx(np.sqrt(np.sum((grad * grad) @ g.weights)), rel=1e-13)
         decrement = desc._precondition(rhs, out)
-        h2, sig, n = g.h**2, g.cell_weights, g.n
+        c, n = g.conductance, g.n
         ref_decrement = 0.0
         for i in range(3):
             ab = np.zeros((2, n))
-            ab[0, 1:] = -sig[: n - 1] / h2
-            ab[1, 0] = sig[0] / h2
-            ab[1, 1:] = (sig[: n - 1] + sig[1:n]) / h2
+            ab[0, 1:] = -c[: n - 1]
+            ab[1, 0] = c[0]
+            ab[1, 1:] = c[: n - 1] + c[1:n]
             ab[1] += lam[i] * g.weights[:n]
             ref = cho_solve_banded((cholesky_banded(ab), False), g.weights[:n] * grad[i, :n])
             assert np.linalg.norm(out[i, :n] - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -391,12 +391,12 @@ def slot_sigma_min(p, semi, i0):
     sides (W = diag(weights)), has the same spectrum as W^-1 (K + W V)."""
     g = semi.fields.grid
     n = g.n
-    diag, off = stiffness_tridiag(g)
     w = g.weights[:n]
     potential = float(p.lam[i0]) - sum(
         float(p.b[i, i0]) * semi.fields.values[i, :n] ** 2 for i in semi.support
     )
-    return eigh_tridiagonal(diag / w + potential, off / np.sqrt(w[:-1] * w[1:]),
+    diag, off = operator_tridiag(g, potential)
+    return eigh_tridiagonal(diag / w, off / np.sqrt(w[:-1] * w[1:]),
                             eigvals_only=True, select="i", select_range=(0, 0))[0]
 
 
