@@ -24,10 +24,9 @@ from .phase import (
 from .reduction import (
     ReducedSystem,
     SphereMaxResult,
-    brute_force_sphere_max,
-    f_eval,
     lift_ground_state,
     reduce_system,
+    simplex_qp_max,
     sphere_max,
 )
 from .solver import (
@@ -57,10 +56,8 @@ __all__ = [
     "action_gradient",
     "action_on_nehari",
     "alpha_threshold",
-    "brute_force_sphere_max",
     "classify",
     "default_radius",
-    "f_eval",
     "ground_state",
     "lift_ground_state",
     "minimize_restricted",
@@ -68,6 +65,7 @@ __all__ = [
     "perturbation_certificate",
     "reduce_system",
     "semitrivial_level",
+    "simplex_qp_max",
     "small_b_bound",
     "sphere_max",
     "sweep",

@@ -17,7 +17,7 @@ from .functional import action, action_gradient, action_on_nehari, nehari_scale
 from .grid import MultiField, RadialGrid, default_radius, wdot
 from .params import ParameterSet, small_b_bound
 from .phase import FULLY_NONTRIVIAL, SEMITRIVIAL, PhaseOptions, classify
-from .reduction import brute_force_sphere_max, lift_ground_state, reduce_system, sphere_max
+from .reduction import lift_ground_state, reduce_system, simplex_qp_max, sphere_max
 from .solver import (
     ground_state,
     minimize_restricted,
@@ -81,20 +81,14 @@ def criterion_02_symmetric_pair_threshold():
 
 
 def criterion_03_sphere_max_oracle():
-    """Closed-form sphere maximum vs the simplex grid-search oracle."""
+    """Closed-form sphere maximum vs the exact simplex QP of B (mu on the
+    diagonal, b off it) at 1e-12 relative, k = 2..6, in all three regimes
+    and at mu = 0, b = 1, where f_max = 1 - 1/k."""
     rng = np.random.default_rng(20240811)
-    resolutions = {2: 400, 3: 150, 4: 60}
     worst = 0.0
     checks = 0
-    for k, res in resolutions.items():
-        tol = 2.0 / res
-        # known value at mu = 0, b = 1: f_max = 1 - 1/k
-        closed = sphere_max(np.zeros(k), 1.0)
-        brute = brute_force_sphere_max(np.zeros(k), 1.0, res)
-        if abs(closed.f_max - (1.0 - 1.0 / k)) > 1e-12:
-            return False, f"k={k}: closed form at mu=0,b=1 is {closed.f_max}"
-        if abs(closed.f_max - brute) > tol:
-            return False, f"k={k}: mu=0,b=1 disagreement {abs(closed.f_max - brute)}"
+    for k in range(2, 7):
+        draws = [("mu=0,b=1", np.zeros(k), 1.0)]
         for regime in ("vertex", "interior", "face"):
             for _ in range(100):
                 mu = rng.uniform(0.2, 2.0, size=k)
@@ -104,17 +98,19 @@ def criterion_03_sphere_max_oracle():
                     b = float(mu.max()) * rng.uniform(1.05, 3.0)
                 else:
                     b = float(mu.max())
-                closed = sphere_max(mu, b)
-                brute = brute_force_sphere_max(mu, b, res)
-                gap = abs(closed.f_max - brute)
-                worst = max(worst, gap * res / 2.0)
-                checks += 1
-                if gap > tol:
-                    return False, (
-                        f"k={k} {regime}: |closed-brute|={gap:.3e} > {tol:.3e} "
-                        f"(mu={mu}, b={b})"
-                    )
-    return True, f"{checks} draws agreed; worst gap = {worst:.3f} of tolerance"
+                draws.append((regime, mu, b))
+        if abs(sphere_max(np.zeros(k), 1.0).f_max - (1.0 - 1.0 / k)) > 1e-12:
+            return False, f"k={k}: closed form at mu=0,b=1 is not 1 - 1/k"
+        for regime, mu, b in draws:
+            B = np.full((k, k), b)
+            np.fill_diagonal(B, mu)
+            exact, _ = simplex_qp_max(B)
+            gap = abs(sphere_max(mu, b).f_max - exact) / exact
+            worst = max(worst, gap)
+            checks += 1
+            if gap > 1e-12:
+                return False, f"k={k} {regime}: relative gap {gap:.3e} (mu={mu}, b={b})"
+    return True, f"{checks} draws agreed; worst relative gap = {worst:.2e}"
 
 
 def criterion_04_reduction_consistency():

@@ -11,13 +11,15 @@ of
 twice).  The k equations then collapse into one with self-interaction
 mu = f_max, leaving a system of d - k + 1 equations with the same levels.
 
-`sphere_max` evaluates the three closed-form regimes of the maximizer;
-`brute_force_sphere_max` is the independent grid-search oracle over the
-simplex parametrization Z = (x_i^2) (f depends on X only through Z).
+`sphere_max` evaluates the three closed-form regimes of the maximizer.
+As f(X) = z^T B z with z = (x_i^2) and B holding mu on the diagonal and b
+off it, `simplex_qp_max`, the exact maximum of z^T B z on the simplex for
+any symmetric B, is its independent oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,19 +71,6 @@ class ReducedSystem:
     retained: tuple
 
 
-def f_eval(X, mu, b):
-    """f(X) = sum_{i != j} b x_i^2 x_j^2 + sum_i mu_i x_i^4 (even in X)."""
-    X = np.atleast_1d(np.array(X, dtype=float))
-    mu = np.atleast_1d(np.array(mu, dtype=float))
-    if X.size < 2:
-        raise ValueError(f"f_eval needs k >= 2 coordinates, got {X.size}")
-    if X.size != mu.size:
-        raise ValueError("X and mu must have the same length")
-    z = X * X
-    s = z.sum()
-    return float(b * (s * s - np.dot(z, z)) + np.dot(mu, z * z))
-
-
 def sphere_max(mu, b) -> SphereMaxResult:
     """Closed-form maximum of f over the unit sphere.
 
@@ -94,15 +83,17 @@ def sphere_max(mu, b) -> SphereMaxResult:
       * face (max mu = b within tolerance): f_max = b on the whole unit
         sphere of the coordinates with mu_i = b.
     """
-    mu = np.atleast_1d(np.array(mu, dtype=float))
-    k = mu.size
+    mu = np.array(mu, dtype=float)
     b = float(b)
+    if mu.ndim != 1:
+        raise ValueError(f"mu must be a 1-D array, got shape {mu.shape}")
+    k = mu.size
     if k < 2:
         raise ValueError(f"sphere_max needs k >= 2, got {k}")
-    if b <= 0:
-        raise ValueError(f"coupling must be > 0, got {b}")
-    if np.any(mu < 0):
-        raise ValueError("mu entries must be nonnegative")
+    if not (np.isfinite(b) and b > 0):
+        raise ValueError(f"b must be finite and > 0, got {b}")
+    if not np.all(np.isfinite(mu) & (mu >= 0)):
+        raise ValueError(f"mu must be finite and nonnegative, got {mu.tolist()}")
     mu_max = float(mu.max())
     scale = max(abs(mu_max), abs(b), 1e-300)
     if abs(mu_max - b) <= EQUAL_TOL * scale:
@@ -144,29 +135,42 @@ def sphere_max(mu, b) -> SphereMaxResult:
     )
 
 
-def brute_force_sphere_max(mu, b, resolution):
-    """Grid-search oracle: maximize f over Z = (x_i^2) on the simplex.
+def simplex_qp_max(B):
+    """Exact maximum F of z^T B z over the simplex and a maximizer z, for a
+    finite symmetric k x k matrix B, by enumerating the supports S.
 
-    Enumerates all integer compositions m/resolution with sum 1, so the
-    result is within O(1/resolution) of the true maximum (and exact in the
-    vertex and face regimes, whose maximizers are grid points).  Guarded to
-    k <= 4 for cost.
+    A maximizer on S solves B_SS z_S = F 1.  When F > 0 some maximizer has
+    a nonsingular B_SS (a kernel vector of B_SS is orthogonal to 1 there, so
+    it leads to a smaller face at the same value), and z_S = y/sum(y) with
+    y = B_SS^{-1} 1 > 0.  Supports go smallest first; the first reaching the
+    largest value wins a tie.  Adding c to B adds c on the simplex, so the
+    solves use B + c where F > 0 is not implied by the diagonal or z = 1/k.
     """
-    mu = np.atleast_1d(np.array(mu, dtype=float))
-    k = mu.size
-    b = float(b)
-    if k < 2 or k > 4:
-        raise ValueError(f"brute force oracle supports 2 <= k <= 4, got {k}")
-    resolution = int(resolution)
-    if resolution < 50:
-        raise ValueError(f"resolution must be >= 50, got {resolution}")
-    coeff = mu - b  # g(Z) = b + sum z_i^2 (mu_i - b) on the simplex
-    m = resolution
-    # compositions of m into k parts: the first k-1 parts sum to at most m
-    head = np.indices((m + 1,) * (k - 1)).reshape(k - 1, -1)
-    head = head[:, head.sum(axis=0) <= m]
-    z = np.vstack([head, m - head.sum(axis=0)]) / m
-    return float((b + coeff @ (z * z)).max())
+    B = np.array(B, dtype=float)
+    k = B.shape[0] if B.ndim == 2 else 0
+    if B.shape != (k, k) or k < 1:
+        raise ValueError(f"B must be a square matrix, got shape {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B has non-finite entries")
+    if not np.array_equal(B, B.T):
+        raise ValueError("B must be symmetric")
+    lower = max(float(B.diagonal().max()), float(B.sum()) / k**2)  # F >= lower
+    shifted = B if lower > 0 else B + (1.0 - lower)
+    best, best_z = -np.inf, None
+    for size in range(1, k + 1):
+        for S in itertools.combinations(range(k), size):
+            S = list(S)
+            try:
+                y = np.linalg.solve(shifted[np.ix_(S, S)], np.ones(size))
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(y > 0):
+                z_S = y / y.sum()
+                value = float(z_S @ B[np.ix_(S, S)] @ z_S)
+                if value > best:
+                    best, best_z = value, np.zeros(k)
+                    best_z[S] = z_S
+    return best, best_z
 
 
 def reduce_system(p: ParameterSet, group) -> ReducedSystem:

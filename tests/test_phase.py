@@ -21,6 +21,7 @@ from cnls.phase import (
     sweep,
     write_sweep_csv,
 )
+from cnls.reduction import simplex_qp_max
 
 SINGLE_LEVEL = 4.0 / 3.0
 
@@ -396,3 +397,58 @@ def test_small_coupling_sampling_never_fully_nontrivial():
         mu = rng.uniform(0.5, 2.0, size=d)
         p = ParameterSet.make(rng.uniform(0.5, 2.0, size=d), mu, 0.9 * small_b_bound(mu))
         assert classify(p, opts).verdict != FULLY_NONTRIVIAL
+
+
+class TestEqualLambdaExactLevels:
+    """With lambda_i = 1 and B = b with mu on its diagonal, every level on the
+    grid is c1/F(B).  Here c1 is the single-equation level at lambda = mu = 1
+    on the same grid and F(B) = simplex_qp_max(B): u_i = sqrt(z_i) U attains
+    it, and two weighted Cauchy-Schwarz steps bound every field on the
+    discrete Nehari set below by it, so it holds to roundoff, not only as
+    h -> 0.  The semitrivial level is c1/F_T with F_T = max_T F(B_TT) over
+    the supports T of size d - 1."""
+
+    OPTS = PhaseOptions(grid_n=400)
+
+    def exact(self, p):
+        single = ParameterSet.make([1.0], [1.0], 0.0, N=p.N)
+        c1 = solver.ground_state(single, build_grid(p, self.OPTS)).level
+        B = p.b + np.diag(p.mu)
+        F_T = max(simplex_qp_max(B[np.ix_(T, T)])[0] for T in solver.semitrivial_subsets(p.d))
+        return c1, simplex_qp_max(B)[0], F_T
+
+    def test_levels_and_verdicts_of_seeded_draws(self):
+        # one draw per (d, N); constant b in the second half, else b_ij
+        # within 15% of a common value, which with b around max mu gives
+        # both verdicts
+        rng = np.random.default_rng(1613)
+        for draw in range(12):
+            d, N = 3 + draw % 4, 1 + draw % 3
+            mu = rng.uniform(0.5, 1.5, size=d)
+            b = mu.max() * rng.uniform(0.6, 1.8)
+            if draw < 6:
+                upper = np.triu(b * rng.uniform(0.85, 1.15, size=(d, d)), 1)
+                b = upper + upper.T
+            p = ParameterSet.make(np.ones(d), mu, b, N=N)
+            v = classify(p, self.OPTS)
+            c1, F, F_T = self.exact(p)
+            assert v.numeric_full_level == pytest.approx(c1 / F, rel=1e-10)
+            assert v.numeric_semitrivial_level == pytest.approx(c1 / F_T, rel=1e-10)
+            assert v.verdict in (FULLY_NONTRIVIAL if F > F_T else SEMITRIVIAL, INCONCLUSIVE)
+
+    def test_degenerate_slot_of_the_three_component_reproducer(self):
+        # b01 = 3, b02 = b12 = 2: the pair {0, 1} attains F(B) = 2 at
+        # z_T = (1/2, 1/2), and (B z_T)_2 = 2 = F_T, so slot 2 is exactly
+        # degenerate and neither decided verdict is exact at the margin
+        p = ParameterSet.make([1.0] * 3, [1.0] * 3, [[0, 3, 2], [3, 0, 2], [2, 2, 0]], N=2)
+        B = p.b + np.diag(p.mu)
+        F_T, z_T = simplex_qp_max(B[:2, :2])
+        assert F_T == pytest.approx(2.0, rel=1e-15)
+        assert z_T == pytest.approx([0.5, 0.5], rel=1e-15)
+        assert B[2, :2] @ z_T == pytest.approx(F_T, rel=1e-15)
+        c1, F, F_T = self.exact(p)
+        assert F == pytest.approx(2.0, rel=1e-15) and F_T == pytest.approx(2.0, rel=1e-15)
+        v = classify(p, self.OPTS)
+        assert v.numeric_full_level == pytest.approx(c1 / 2.0, rel=1e-10)
+        assert v.numeric_semitrivial_level == pytest.approx(c1 / 2.0, rel=1e-10)
+        assert v.verdict != FULLY_NONTRIVIAL

@@ -8,33 +8,19 @@ from cnls.reduction import (
     REGIME_FACE,
     REGIME_INTERIOR,
     REGIME_VERTEX,
-    brute_force_sphere_max,
-    f_eval,
     lift_ground_state,
     reduce_system,
+    simplex_qp_max,
     sphere_max,
 )
 from cnls.solver import ground_state
 
 
-class TestFEval:
-    def test_basis_vector(self):
-        assert f_eval([1.0, 0.0], [3.0, 1.0], 2.0) == pytest.approx(3.0)
-
-    def test_symmetric_point(self):
-        x = [2.0 ** -0.5, 2.0 ** -0.5]
-        assert f_eval(x, [1.0, 1.0], 3.0) == pytest.approx(2.0)
-
-    def test_even_in_X(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            x = rng.standard_normal(3)
-            mu = rng.uniform(0.1, 2.0, size=3)
-            assert f_eval(-x, mu, 1.3) == pytest.approx(f_eval(x, mu, 1.3), rel=1e-14)
-
-    def test_needs_two_coordinates(self):
-        with pytest.raises(ValueError):
-            f_eval([1.0], [1.0], 1.0)
+def coupling_matrix(mu, b):
+    """B with mu on the diagonal and b off it: f(X) = z^T B z at z = X^2."""
+    B = np.full((len(mu), len(mu)), float(b))
+    np.fill_diagonal(B, mu)
+    return B
 
 
 class TestSphereMax:
@@ -75,7 +61,8 @@ class TestSphereMax:
             b = rng.uniform(0.2, 3.0)
             res = sphere_max(mu, b)
             assert np.linalg.norm(res.X_repr) == pytest.approx(1.0, abs=1e-12)
-            assert f_eval(res.X_repr, mu, b) == pytest.approx(res.f_max, abs=1e-10)
+            z = res.X_repr ** 2
+            assert z @ coupling_matrix(mu, b) @ z == pytest.approx(res.f_max, abs=1e-10)
 
     def test_interior_multiplier_identity(self):
         rng = np.random.default_rng(4)
@@ -98,29 +85,76 @@ class TestSphereMax:
         assert abs(hi.f_max - b) < 1e-4
 
     def test_agrees_with_brute_force(self):
+        # the brute force is simplex_qp_max's enumeration of all supports
         rng = np.random.default_rng(5)
-        for k, res in ((2, 400), (3, 150), (4, 60)):
+        for k in range(2, 7):
             for _ in range(10):
                 mu = rng.uniform(0.2, 2.0, size=k)
                 b = rng.uniform(0.3, 3.0)
-                if abs(b - mu.max()) < 1e-3:
-                    b += 0.1
-                closed = sphere_max(mu, b)
-                brute = brute_force_sphere_max(mu, b, res)
-                assert abs(closed.f_max - brute) <= 2.0 / res
+                exact, _ = simplex_qp_max(coupling_matrix(mu, b))
+                assert sphere_max(mu, b).f_max == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "mu,b,name",
+        [([np.inf, 1.0], 2.0, "mu"), ([np.nan, 1.0], 2.0, "mu"), ([1.0, 1.0], np.nan, "b"),
+         ([1.0, 1.0], np.inf, "b"), ([[1.0, 1.0]], 2.0, "mu"), (np.ones((2, 2)), 2.0, "mu")],
+        ids=["inf-mu", "nan-mu", "nan-b", "inf-b", "row-mu", "matrix-mu"],
+    )
+    def test_rejects_non_finite_or_non_vector_input(self, mu, b, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sphere_max(mu, b)
 
 
-class TestBruteForce:
-    def test_examples(self):
-        assert brute_force_sphere_max([1.0, 1.0], 3.0, 10_000) == pytest.approx(2.0, abs=1e-3)
-        assert brute_force_sphere_max(np.zeros(3), 1.0, 150) == pytest.approx(2.0 / 3.0, abs=1e-3)
-        assert brute_force_sphere_max([5.0, 1.0], 3.0, 400) == pytest.approx(5.0, abs=1e-3)
+class TestSimplexQP:
+    def test_never_below_dense_sampling_of_the_simplex(self):
+        # the one check of the enumerator that does not go through sphere_max
+        rng = np.random.default_rng(13)
+        for trial in range(200):
+            k = 2 + trial % 4
+            A = rng.uniform(-1.0, 2.0, size=(k, k))
+            B = A + A.T
+            F, z = simplex_qp_max(B)
+            assert np.all(z >= 0) and z.sum() == pytest.approx(1.0, abs=1e-14)
+            assert z @ B @ z == pytest.approx(F, rel=1e-13, abs=1e-15)
+            samples = np.vstack([rng.dirichlet(np.full(k, alpha), size=5000)
+                                 for alpha in (1.0, 0.2)])
+            sampled = np.einsum("ni,ij,nj->n", samples, B, samples).max()
+            assert sampled <= F + 1e-12 * abs(F)
 
-    def test_guards(self):
-        with pytest.raises(ValueError, match="k <= 4"):
-            brute_force_sphere_max(np.ones(5), 1.0, 100)
-        with pytest.raises(ValueError, match="resolution"):
-            brute_force_sphere_max(np.ones(2), 1.0, 10)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_zero_mu_has_singular_vertices_and_the_uniform_maximizer(self, k):
+        F, z = simplex_qp_max(coupling_matrix(np.zeros(k), 1.0))
+        assert F == pytest.approx(1.0 - 1.0 / k, rel=1e-14)
+        assert np.allclose(z, 1.0 / k, rtol=0, atol=1e-14)
+
+    def test_exact_face_tie_has_singular_blocks(self):
+        # mu_0 = mu_1 = b: every B_SS with {0, 1} in S is singular
+        F, z = simplex_qp_max(coupling_matrix([2.0, 2.0, 1.0], 2.0))
+        assert F == 2.0 and np.array_equal(z, [1.0, 0.0, 0.0])
+
+    def test_single_entry(self):
+        for value in (3.0, 0.0, -2.5):
+            F, z = simplex_qp_max([[value]])
+            assert F == value and np.array_equal(z, [1.0])
+
+    def test_non_positive_maximum(self):
+        # F = 0: the vertex blocks [[0]] are singular and B^-1 1 < 0, so only
+        # the solves on B + c find the maximizers
+        F, z = simplex_qp_max([[0.0, -1.0], [-1.0, 0.0]])
+        assert F == 0.0 and np.array_equal(z, [1.0, 0.0])
+        F, _ = simplex_qp_max([[-3.0, -1.0], [-1.0, -2.0]])
+        assert F == pytest.approx(-5.0 / 3.0, rel=1e-14)  # z = (1/3, 2/3)
+
+    @pytest.mark.parametrize(
+        "B,match",
+        [(np.ones(3), "square"), (np.ones((2, 3)), "square"), (np.ones((0, 0)), "square"),
+         ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"), ([[1.0, np.inf], [1.0, 1.0]], "non-finite"),
+         ([[1.0, 2.0], [3.0, 1.0]], "symmetric")],
+        ids=["vector", "rectangular", "empty", "nan", "inf", "asymmetric"],
+    )
+    def test_rejects_malformed_matrix(self, B, match):
+        with pytest.raises(ValueError, match=f"^B .*{match}"):
+            simplex_qp_max(B)
 
 
 class TestReduceSystem:
