@@ -9,7 +9,14 @@ fully-nontrivial phase classifier, equal-lambda system reduction, and the
 closed-form parameter thresholds as checkable predicates.
 """
 
-from .functional import ActionBreakdown, action, action_gradient, action_on_nehari, nehari_scale
+from .functional import (
+    ActionBreakdown,
+    action,
+    action_gradient,
+    action_on_nehari,
+    nehari_scale,
+    simplex_qp_max,
+)
 from .grid import MultiField, RadialGrid, default_radius
 from .params import ParameterSet, alpha_threshold, small_b_bound, validate
 from .phase import (
@@ -26,7 +33,6 @@ from .reduction import (
     SphereMaxResult,
     lift_ground_state,
     reduce_system,
-    simplex_qp_max,
     sphere_max,
 )
 from .solver import (

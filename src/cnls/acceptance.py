@@ -13,15 +13,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functional import action, action_gradient, action_on_nehari, nehari_scale
+from .functional import action, action_gradient, action_on_nehari, nehari_scale, simplex_qp_max
 from .grid import MultiField, RadialGrid, default_radius, wdot
 from .params import ParameterSet, small_b_bound
-from .phase import FULLY_NONTRIVIAL, SEMITRIVIAL, PhaseOptions, classify
-from .reduction import lift_ground_state, reduce_system, simplex_qp_max, sphere_max
+from .phase import FULLY_NONTRIVIAL, MARGIN_TOL, SEMITRIVIAL, PhaseOptions, build_grid, classify
+from .reduction import lift_ground_state, reduce_system, sphere_max
 from .solver import (
     ground_state,
     minimize_restricted,
     perturbation_certificate,
+    semitrivial_subsets,
     soliton_profile,
 )
 
@@ -285,6 +286,61 @@ def criterion_10_nehari_projection():
     return True, f"50 fields projected; worst residual = {worst:.2e} of quadratic"
 
 
+def criterion_11_equal_lambda_exact_levels():
+    """40 seeded equal-lambda draws (d = 3..6, N = 1..3, n = 400, constant
+    and non-constant b): both levels of `classify` within 1e-10 relative of
+    c1/F, and the verdict exact wherever the exact margin exceeds MARGIN_TOL
+    times the semitrivial level.
+
+    With lambda_i = 1 and B holding mu on the diagonal and b off it, every
+    level on the grid is c1/F(B_II): c1 is the single-equation level at
+    lambda = mu = 1 on the same grid and F the simplex maximum of
+    `simplex_qp_max`.  u_i = sqrt(z_i) U attains it, and two weighted
+    Cauchy-Schwarz steps bound every field on the discrete Nehari set
+    below by it, so it holds to roundoff, not only as h -> 0.  An exactly
+    semitrivial draw (F = F_T) must not be classified fully nontrivial.
+    """
+    rng = np.random.default_rng(7)
+    opts = PhaseOptions(grid_n=400)
+    single = {}
+    worst = 0.0
+    verdicts, in_band = [], 0
+    for draw in range(40):
+        d, N = 3 + draw % 4, 1 + draw % 3
+        mu = rng.uniform(0.5, 1.5, size=d)
+        b = mu.max() * rng.uniform(0.6, 1.8)
+        if (draw // 4) % 2:  # every d in turn with constant, then non-constant b
+            upper = np.triu(b * rng.uniform(0.85, 1.15, size=(d, d)), 1)
+            b = upper + upper.T
+        p = ParameterSet.make(np.ones(d), mu, b, N=N)
+        if N not in single:
+            unit = ParameterSet.make([1.0], [1.0], 0.0, N=N)
+            single[N] = ground_state(unit, build_grid(p, opts)).level
+        B = p.b + np.diag(mu)
+        F = simplex_qp_max(B)[0]
+        F_T = max(simplex_qp_max(B[np.ix_(T, T)])[0] for T in semitrivial_subsets(d))
+        full, semi = single[N] / F, single[N] / F_T
+        v = classify(p, opts)
+        for got, exact in ((v.numeric_full_level, full), (v.numeric_semitrivial_level, semi)):
+            rel = abs(got - exact) / exact
+            worst = max(worst, rel)
+            if rel > 1e-10:
+                return False, f"draw {draw} (d={d}, N={N}): level {got!r} vs exact {exact!r}"
+        margin = semi - full
+        if margin > MARGIN_TOL * semi:
+            ok = v.verdict == FULLY_NONTRIVIAL
+        elif margin <= 1e-12 * semi:  # F = F_T: exactly semitrivial
+            ok = v.verdict != FULLY_NONTRIVIAL
+        else:
+            ok, in_band = True, in_band + 1
+        if not ok:
+            return False, f"draw {draw} (d={d}, N={N}): {v.verdict} at exact margin {margin:.3e}"
+        verdicts.append(v.verdict)
+    tally = ", ".join(f"{verdicts.count(x)} {x}" for x in sorted(set(verdicts)))
+    return True, (f"40 draws: {tally}; {in_band} inside the margin band; "
+                  f"worst level error {worst:.2e}")
+
+
 CRITERIA = (
     ("01", "single-equation-level", criterion_01_single_equation_level, 10.0),
     ("02", "symmetric-pair-threshold", criterion_02_symmetric_pair_threshold, 60.0),
@@ -296,6 +352,7 @@ CRITERIA = (
     ("08", "certificate-sanity", criterion_08_certificate_sanity, 10.0),
     ("09", "gradient-correctness", criterion_09_gradient_correctness, 10.0),
     ("10", "nehari-projection", criterion_10_nehari_projection, 10.0),
+    ("11", "equal-lambda-exact-levels", criterion_11_equal_lambda_exact_levels, 60.0),
 )
 
 

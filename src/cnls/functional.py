@@ -19,9 +19,11 @@ directions mesh independent.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dsyev
 
 from .grid import MultiField, h1_sq_raw, neg_lap_plus_raw
 from .params import ParameterSet
@@ -73,6 +75,91 @@ def action_parts_raw(grid, values, p: ParameterSet):
         for j in range(i):
             M[i, j] = M[j, i] = float(p.b[i, j]) * float(np.dot(wv2[i], v2[j]))
     return q, M
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def simplex_qp_max(B):
+    """Exact maximum F of z^T B z over the simplex and a maximizer z, for a
+    finite symmetric k x k matrix B (the standard quadratic program; Bomze,
+    J. Global Optim. 13 (1998)).  Ties go to the smallest support, and among
+    supports of one size to the first in lexicographic order."""
+    B = np.array(B, dtype=float)
+    k = B.shape[0] if B.ndim == 2 else 0
+    if B.shape != (k, k) or k < 1:
+        raise ValueError(f"B must be a square matrix, got shape {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B has non-finite entries")
+    if not np.array_equal(B, B.T):
+        raise ValueError("B must be symmetric")
+    return simplex_qp_kernel(B)
+
+
+def simplex_qp_kernel(B):
+    """`simplex_qp_max` on a checked float matrix B, by three exact rules
+    tried in order; one LAPACK dsyev gives the inertia the first two need.
+
+    1. B positive definite: z^T B z is convex, so the best vertex wins.
+    2. B with exactly one positive eigenvalue and y = B^{-1} 1 > 0: B is
+       negative definite on the complement of 1 (Haynsworth inertia of the
+       matrix bordered by 1), so z = y / sum(y) is the unique maximizer,
+       with F = 1 / sum(y).
+    3. Otherwise `_simplex_supports` enumerates the supports.
+
+    An eigenvalue within k * eps * max|eigenvalue| of 0 sends rule 2 to
+    rule 3, where a singular block is skipped instead of inverted.  The
+    small-k arithmetic runs on Python floats: numpy's per-call cost would
+    dominate, and the solver calls this once per accepted descent step.
+    """
+    k = B.shape[0]
+    w, _, info = dsyev(B, compute_v=0)
+    if info == 0 and k > 1:
+        w = w.tolist()
+        if w[0] > 0.0:
+            diag = B.diagonal().tolist()
+            i = diag.index(max(diag))
+            z = np.zeros(k)
+            z[i] = 1.0
+            return diag[i], z
+        tol = k * _EPS * max(-w[0], w[-1])
+        if w[-1] > tol and w[-2] < -tol:
+            y, info = dgesv(B, np.ones(k))[2:]
+            ys = y.tolist()
+            if info == 0 and min(ys) > 0.0:
+                total = sum(ys)
+                return 1.0 / total, y / total
+    return _simplex_supports(B)
+
+
+def _simplex_supports(B):
+    """The simplex maximum by enumerating the supports S, smallest first.
+
+    A maximizer on S solves B_SS z_S = F 1.  When F > 0 some maximizer has
+    a nonsingular B_SS (a kernel vector of B_SS is orthogonal to 1 there, so
+    it leads to a smaller face at the same value), and z_S = y / sum(y) with
+    y = B_SS^{-1} 1 > 0; the first support reaching the largest value wins.
+    Adding c to B adds c on the simplex, so the solves use B + c where F > 0
+    is not implied by the diagonal or z = 1/k.
+    """
+    k = B.shape[0]
+    lower = max(float(B.diagonal().max()), float(B.sum()) / k**2)  # F >= lower
+    shifted = B if lower > 0 else B + (1.0 - lower)
+    best, best_z = -np.inf, None
+    for size in range(1, k + 1):
+        for S in itertools.combinations(range(k), size):
+            S = list(S)
+            try:
+                y = np.linalg.solve(shifted[np.ix_(S, S)], np.ones(size))
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(y > 0):
+                z_S = y / y.sum()
+                value = float(z_S @ B[np.ix_(S, S)] @ z_S)
+                if value > best:
+                    best, best_z = value, np.zeros(k)
+                    best_z[S] = z_S
+    return best, best_z
 
 
 def gradient_raw(grid, values, p: ParameterSet):

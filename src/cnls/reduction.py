@@ -13,17 +13,17 @@ mu = f_max, leaving a system of d - k + 1 equations with the same levels.
 
 `sphere_max` evaluates the three closed-form regimes of the maximizer.
 As f(X) = z^T B z with z = (x_i^2) and B holding mu on the diagonal and b
-off it, `simplex_qp_max`, the exact maximum of z^T B z on the simplex for
-any symmetric B, is its independent oracle.
+off it, `functional.simplex_qp_max`, the exact maximum of z^T B z on the
+simplex for any symmetric B, is its independent oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .functional import simplex_qp_max  # noqa: F401  (re-exported oracle)
 from .grid import MultiField
 from .params import EQUAL_TOL, ParameterSet, index_set, values_all_equal
 from .solver import GroundStateResult
@@ -133,44 +133,6 @@ def sphere_max(mu, b) -> SphereMaxResult:
             "magnitudes": [float(v) for v in x],
         },
     )
-
-
-def simplex_qp_max(B):
-    """Exact maximum F of z^T B z over the simplex and a maximizer z, for a
-    finite symmetric k x k matrix B, by enumerating the supports S.
-
-    A maximizer on S solves B_SS z_S = F 1.  When F > 0 some maximizer has
-    a nonsingular B_SS (a kernel vector of B_SS is orthogonal to 1 there, so
-    it leads to a smaller face at the same value), and z_S = y/sum(y) with
-    y = B_SS^{-1} 1 > 0.  Supports go smallest first; the first reaching the
-    largest value wins a tie.  Adding c to B adds c on the simplex, so the
-    solves use B + c where F > 0 is not implied by the diagonal or z = 1/k.
-    """
-    B = np.array(B, dtype=float)
-    k = B.shape[0] if B.ndim == 2 else 0
-    if B.shape != (k, k) or k < 1:
-        raise ValueError(f"B must be a square matrix, got shape {B.shape}")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("B has non-finite entries")
-    if not np.array_equal(B, B.T):
-        raise ValueError("B must be symmetric")
-    lower = max(float(B.diagonal().max()), float(B.sum()) / k**2)  # F >= lower
-    shifted = B if lower > 0 else B + (1.0 - lower)
-    best, best_z = -np.inf, None
-    for size in range(1, k + 1):
-        for S in itertools.combinations(range(k), size):
-            S = list(S)
-            try:
-                y = np.linalg.solve(shifted[np.ix_(S, S)], np.ones(size))
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(y > 0):
-                z_S = y / y.sum()
-                value = float(z_S @ B[np.ix_(S, S)] @ z_S)
-                if value > best:
-                    best, best_z = value, np.zeros(k)
-                    best_z[S] = z_S
-    return best, best_z
 
 
 def reduce_system(p: ParameterSet, group) -> ReducedSystem:

@@ -19,12 +19,14 @@ representative removes sign oscillation.
 After each accepted Armijo step the descent takes an exact step in the
 component amplitudes (`amplitude_step`).  With the action parts (q, M) of
 the accepted point, scaling component i by sqrt(t_i) gives the Nehari level
-f(t) = (q.t)^2 / (4 t.M.t), stationary at t = M^{-1} q (the synchronized
-reduction of Sirakov, CMP 271 (2007)).  The step fires when every t_i > 0
-and f(t) is below the merit.  For positive definite M, M^{-1} q maximizes f,
-so it fires only where coupling beats self-interaction: on the fully
-nontrivial side next to the switch-on coupling, where the component-ratio
-mode has curvature of order b - mu and the H^1 descent alone stalls.
+f(t) = (q.t)^2 / (4 t.M.t), and minimizing f over t >= 0 is a quadratic
+program on the simplex (the synchronized reduction of Sirakov, CMP 271
+(2007)), solved exactly by `functional.simplex_qp_kernel`, the oracle that
+`reduction` uses too.  The step moves to the minimizing amplitudes when they
+lower the merit, on a smaller face if one wins.  That removes the two slow
+modes of the H^1 descent: next to the switch-on coupling, where the
+component-ratio mode has curvature of order b - mu, and below it, where a
+component that the ground state lacks would drain toward 0 at H^1 speed.
 
 No global-optimality claim is made: the returned level is the best local
 minimum over a deterministic multistart inventory.  The perturbation
@@ -41,9 +43,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg import cho_solve_banded  # noqa: F401  (perfbench/tracing.py wraps this name)
-from scipy.linalg.lapack import dgesv, dpotrf, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .functional import action_parts_raw, gradient_raw, nehari_raw
+from .functional import action_parts_raw, gradient_raw, nehari_raw, simplex_qp_kernel
 from .grid import MultiField, RadialGrid, l4_raw, operator_tridiag
 from .params import ParameterSet, index_set
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -75,6 +77,11 @@ SEMITRIVIAL_EPS = 0.1
 #: Iteration cap of one descent; a start that reaches it unconverged is
 #: reported with ``converged=False``.
 MAX_ITERATIONS = 3000
+
+#: The amplitude step fires only when it lowers the level by more than this
+#: relative amount: a component it zeroes never comes back (its gradient is
+#: 0), so a gain at roundoff level must not decide the support.
+AMPLITUDE_MIN_DROP = 1e-12
 
 #: Seeded random starts per multistart, on top of the deterministic ones,
 #: and the seed they are drawn from.
@@ -281,24 +288,41 @@ class _Descent:
 
 
 def amplitude_step(q, M, level):
-    """Exact step in the component amplitudes of a field with parts (q, M).
+    """Exact minimum of the level over the component amplitudes of a field
+    with parts (q, M), faces included.
 
     Scaling row i by sqrt(t_i) gives the parts (q.t, t.M.t), so `nehari_raw`
-    moves the level to f(t) = (q.t)^2 / (4 t.M.t), which is stationary at
-    t = M^{-1} q.  When every t_i > 0 and f(t) < ``level`` this returns
-    (s, f(t)) with s = tau sqrt(t) and tau the projection of the scaled
-    rows: the rows scaled by s lie on the Nehari set at level f(t).
-    Otherwise it returns None.  For positive definite M, M^{-1} q maximizes f
-    (Cauchy-Schwarz in the M inner product), so the step fires only where
-    coupling beats self-interaction; it never zeroes a component.
+    moves the level to f(t) = (q.t)^2 / (4 t.M.t).  Over the rows with
+    q_i > 0, s_i = q_i t_i / (q.t) lies on the simplex and f = 1 / (4 s.C.s)
+    with C_ij = M_ij / (q_i q_j), so min f = 1 / (4 F) for F the simplex
+    maximum of `simplex_qp_kernel`, attained at t_i = z_i / q_i (the
+    synchronized reduction of Sirakov, CMP 271 (2007)).  Rows with q_i = 0
+    stay 0, and so do the rows with z_i = 0: the step zeroes a component
+    when a smaller face is best.
+
+    When at least two rows are live and 1 / (4 F) is below ``level`` by more
+    than AMPLITUDE_MIN_DROP relative, this returns (s, f(t)) with s = tau
+    sqrt(t) and tau the projection of the scaled rows: the rows scaled by s
+    lie on the Nehari set at level f(t), evaluated from (q, M) at t.
+    Otherwise it returns None.
     """
-    if dpotrf(M)[1] == 0:  # positive definite: M^{-1} q maximizes f
+    if q.size < 2:
         return None
-    t, info = dgesv(M, q)[2:]
-    if info != 0 or not (t > 0.0).all():  # singular M: some component is off
+    if min(q.tolist()) > 0.0:
+        F, z = simplex_qp_kernel(M / np.outer(q, q))
+        t = z / q
+    else:
+        live = q > 0.0
+        if live.sum() < 2:
+            return None
+        ql = q[live]
+        F, z = simplex_qp_kernel(M[np.ix_(live, live)] / np.outer(ql, ql))
+        t = np.zeros(q.size)
+        t[live] = z / ql
+    if not 4.0 * F * level * (1.0 - AMPLITUDE_MIN_DROP) > 1.0:
         return None
     proj = nehari_raw(float(q @ t), float(t @ M @ t))
-    if proj is None or not proj[1] < level:
+    if proj is None:
         return None
     tau, f = proj
     return tau * np.sqrt(t), f

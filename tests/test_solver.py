@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -166,12 +167,17 @@ class TestAmplitudeStep:
         q, M = action_parts_raw(grid, vals, p)
         return p, vals, q, M, q.sum() ** 2 / (4.0 * M.sum())
 
-    @pytest.mark.parametrize("b", [0.5, 0.99])
-    def test_no_op_when_quartic_matrix_is_positive_definite(self, grid, b):
-        # M^{-1} q is the maximum of the level over the amplitudes there
-        _, _, q, M, level = self.parts(grid, b, (1.0, 0.1))
+    def test_zeroes_the_weak_component_when_a_vertex_wins(self, grid):
+        # at b = 0.5 < mu, M is positive definite and the best amplitudes
+        # on the ray (U, 0.1 U) lie on the face of row 0 alone
+        p, vals, q, M, level = self.parts(grid, 0.5, (1.0, 0.1))
         assert np.all(np.linalg.eigvalsh(M) > 0.0)
-        assert amplitude_step(q, M, level) is None
+        s, new_level = amplitude_step(q, M, level)
+        assert s[1] == 0.0 and s[0] > 0.0
+        assert new_level == pytest.approx(q[0] ** 2 / (4.0 * M[0, 0]), rel=1e-14)
+        bk = action(MultiField(grid, s[:, None] * vals), p)
+        assert abs(bk.nehari_residual) <= 1e-12 * bk.quadratic
+        assert bk.action == pytest.approx(new_level, rel=1e-12)
 
     def test_no_op_with_a_component_switched_off(self, grid):
         _, _, q, M, level = self.parts(grid, 3.0, (1.0, 0.0))
@@ -191,6 +197,92 @@ class TestAmplitudeStep:
         assert abs(bk.nehari_residual) <= 1e-12 * bk.quadratic
         assert bk.action == pytest.approx(new_level, rel=1e-12)
 
+    @staticmethod
+    def plain_minimum(q, M):
+        """Least level f(t) = (q.t)^2 / (4 t.M.t) over t >= 0, by trying every
+        support S with M_SS t_S = q_S and t_S > 0 (the stationary points of f
+        in the interior of the face S)."""
+        best = np.inf
+        for size in range(1, q.size + 1):
+            for S in itertools.combinations(range(q.size), size):
+                S = list(S)
+                try:
+                    t = np.linalg.solve(M[np.ix_(S, S)], q[S])
+                except np.linalg.LinAlgError:
+                    continue
+                if np.all(t > 0.0):
+                    best = min(best, (q[S] @ t) ** 2 / (4.0 * t @ M[np.ix_(S, S)] @ t))
+        return best
+
+    @staticmethod
+    def cooperative_draw(rng, kind, d):
+        """(q, M) of one kind: a positive definite M, a strongly coupled M
+        with one positive eigenvalue, two strongly coupled blocks (two
+        positive eigenvalues), a symmetric M and q with exactly tied faces,
+        mu_0 = mu_1 = b_01 (singular blocks), or any of these with a zero
+        last row."""
+        mu = rng.uniform(0.5, 1.5, size=d)
+        if kind == "definite":
+            B = rng.uniform(0.0, 0.9 * mu.min() / (d - 1), size=(d, d))
+        elif kind in ("one-positive", "zero-row"):
+            B = mu.max() * rng.uniform(1.05, 2.0) * rng.uniform(0.95, 1.05, size=(d, d))
+        elif kind == "two-blocks":
+            B = rng.uniform(0.0, 0.2, size=(d, d))
+            half = max(1, d // 2)
+            for block in (slice(0, half), slice(half, d)):
+                B[block, block] = mu.max() * rng.uniform(1.5, 3.0)
+        elif kind == "tied":
+            mu[:] = mu[0]
+            B = np.full((d, d), mu[0] * rng.choice([0.5, 2.0]))
+        else:  # singular
+            B = rng.uniform(0.5, 2.5, size=(d, d))
+            mu[:2] = B[0, 1] = B[1, 0]
+        B = np.triu(B, 1)
+        B = B + B.T + np.diag(mu)
+        if kind == "tied":
+            q = np.full(d, rng.uniform(0.5, 2.0))
+            M = B * q[0] ** 2
+        else:
+            q = np.exp(rng.uniform(-1.0, 1.0, size=d))
+            a = np.exp(rng.uniform(-1.0, 1.0, size=d))
+            M = B * np.outer(a, a)
+        if kind == "zero-row":
+            q[-1] = 0.0
+            M[-1, :] = M[:, -1] = 0.0
+        return q, M
+
+    def test_matches_plain_enumeration_on_seeded_parts(self):
+        rng = np.random.default_rng(2718)
+        kinds = ("definite", "one-positive", "two-blocks", "tied", "singular", "zero-row")
+        seen = {}
+        for draw in range(300):
+            kind, d = kinds[draw % 6], 2 + draw % 5
+            if kind == "singular" and d == 2:
+                d = 3
+            q, M = self.cooperative_draw(rng, kind, d)
+            level = q.sum() ** 2 / (4.0 * M.sum())
+            expected = self.plain_minimum(q, M)
+            out = amplitude_step(q, M, level)
+            if out is None:
+                assert expected >= level * (1.0 - 2e-12), (draw, kind)
+            else:
+                s, new_level = out
+                assert new_level < level, (draw, kind)
+                assert new_level == pytest.approx(expected, rel=1e-12), (draw, kind)
+                t = s * s
+                assert t @ M @ t == pytest.approx(q @ t, rel=1e-12)  # on the Nehari set
+                assert q @ t / 4.0 == pytest.approx(new_level, rel=1e-12)
+                assert np.all(s[q == 0.0] == 0.0)
+            live = q > 0.0
+            positive = int((np.linalg.eigvalsh(M[np.ix_(live, live)]) > 0.0).sum())
+            tag = "zero-row" if not live.all() else "pd" if positive == live.sum() else \
+                f"{min(positive, 2)}-positive"
+            seen[tag] = seen.get(tag, 0) + 1
+            seen[kind] = seen.get(kind, 0) + 1
+        assert seen["zero-row"] >= 50 and seen["pd"] >= 50
+        assert seen["1-positive"] >= 50 and seen["2-positive"] >= 20
+        assert seen["tied"] == seen["singular"] == 50
+
     def test_bumped_semitrivial_start_converges_next_to_the_threshold(self):
         # the component-ratio mode has curvature ~ b - mu: H^1 descent alone
         # runs all 3000 iterations here without converging
@@ -205,24 +297,42 @@ class TestAmplitudeStep:
         _, level, support, _ = desc.finalize(values)
         assert support == (0, 1) and level < semi.level
 
-    def test_every_full_start_converges_on_the_d3_reproducer(self, monkeypatch):
-        # N=2, lambda=mu=1, b01=3, b02=b12=2: six of the nine full starts
-        # used to run all 3000 iterations
+    @staticmethod
+    def full_runs(monkeypatch, p, grid):
+        """`ground_state(p, grid)` and the (iterations, grad_norm, converged)
+        of each of its full-support descents."""
         runs = []
         raw = _Descent.run
 
         def recorded(self, u0):
             out = raw(self, u0)
-            if self.p.d == 3:
+            if self.p.d == p.d:
                 runs.append(out[1:])
             return out
 
         monkeypatch.setattr(_Descent, "run", recorded)
+        return ground_state(p, grid), runs
+
+    def test_every_full_start_converges_on_the_d3_reproducer(self, monkeypatch):
+        # N=2, lambda=mu=1, b01=3, b02=b12=2: six of the nine full starts
+        # used to run all 3000 iterations
         b = np.array([[0.0, 3.0, 2.0], [3.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
         p = ParameterSet.make([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], b, N=2)
-        ground_state(p, RadialGrid.make(2, default_radius(1.0), 400))
+        _, runs = self.full_runs(monkeypatch, p, RadialGrid.make(2, default_radius(1.0), 400))
         assert len(runs) == 9
         assert all(converged for _, _, converged in runs), runs
+
+    @pytest.mark.parametrize("lam2,b", [(1.0, 0.99), (2.0, 0.98 * (2.0 + np.sqrt(2.0)) / 2.0)],
+                             ids=["sym-b0.99", "asym-0.98bstar"])
+    def test_full_starts_end_the_drain_in_few_iterations(self, monkeypatch, lam2, b):
+        # below the switch-on coupling (b* = (2 + sqrt 2)/2 for lambda = (1, 2))
+        # the ground state is semitrivial; without a face step the second
+        # component drains at H^1 speed, in up to 1239 and 509 iterations
+        p = ParameterSet.make([1.0, lam2], [1.0, 1.0], b, N=1)
+        res, runs = self.full_runs(monkeypatch, p, RadialGrid.make(1, 20.0, 400))
+        assert res.support == (0,)
+        assert len(runs) == 7
+        assert all(converged and iterations <= 50 for iterations, _, converged in runs), runs
 
 
 class TestMinimizeRestricted:
