@@ -305,9 +305,10 @@ class SweepPoint:
 
 def _restricted_key(p: ParameterSet, subset, opts: PhaseOptions):
     """Everything `minimize_restricted` reads for ``subset`` of ``p`` at the
-    fixed options of a sweep: the support (its random starts are seeded by
-    the support), the grid and the subsystem `ParameterSet.restrict` gives,
-    the one the solver minimizes."""
+    fixed options of a sweep: the grid, the subsystem `ParameterSet.restrict`
+    gives (the one the solver minimizes, with starts that depend on it
+    alone) and the support, since the result is embedded at the support's
+    rows of ``p``."""
     sub = p.restrict(subset)
     return (subset, (p.N, _radius(p, opts), opts.grid_n), sub.lam.tobytes(),
             sub.mu.tobytes(), sub.b.tobytes())

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import simplex_qp_max  # noqa: F401  (re-exported oracle)
 from .grid import MultiField
 from .params import EQUAL_TOL, ParameterSet, index_set, values_all_equal
 from .solver import GroundStateResult

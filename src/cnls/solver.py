@@ -21,19 +21,21 @@ component amplitudes (`amplitude_step`).  With the action parts (q, M) of
 the accepted point, scaling component i by sqrt(t_i) gives the Nehari level
 f(t) = (q.t)^2 / (4 t.M.t), and minimizing f over t >= 0 is a quadratic
 program on the simplex (the synchronized reduction of Sirakov, CMP 271
-(2007)), solved exactly by `functional.simplex_qp_kernel`, the oracle that
-`reduction` uses too.  The step moves to the minimizing amplitudes when they
-lower the merit, on a smaller face if one wins.  That removes the two slow
-modes of the H^1 descent: next to the switch-on coupling, where the
+(2007)), solved exactly by `functional.simplex_qp_kernel`, the kernel of the
+one simplex oracle `simplex_qp_max`.  The step moves to the minimizing
+amplitudes when they lower the merit, on a smaller face if one wins.  That
+removes the two slow modes of the H^1 descent: next to the switch-on coupling, where the
 component-ratio mode has curvature of order b - mu, and below it, where a
 component that the ground state lacks would drain toward 0 at H^1 speed.
 
 No global-optimality claim is made: the returned level is the best local
-minimum over a deterministic multistart inventory.  The perturbation
-certificate provides the only strict-comparison guarantee: it lists the
-missing slots i0 where the linearized operator -Laplace + lambda_i0 -
-sum_i b_{i,i0} u_i^2 at a semitrivial minimizer u is not positive definite,
-and each such slot proves that u is not the ground state.
+minimum over a deterministic multistart inventory (`_multistart`: the
+soliton start, any seeded starts, then RANDOM_STARTS random starts seeded by
+their index alone, so a restricted level depends only on its subsystem).
+The perturbation certificate provides the only strict-comparison guarantee:
+it lists the missing slots i0 where the linearized operator -Laplace +
+lambda_i0 - sum_i b_{i,i0} u_i^2 at a semitrivial minimizer u is not
+positive definite, and each such slot proves that u is not the ground state.
 """
 
 from __future__ import annotations
@@ -142,13 +144,6 @@ def soliton_profile(grid: RadialGrid, lam, mu):
     vals = np.sqrt(2.0 * lam / mu) * (2.0 * e / (1.0 + e * e))
     vals[-1] = 0.0
     return vals
-
-
-def _soliton_start(p: ParameterSet, grid: RadialGrid):
-    """A (d, n+1) start with the soliton profile of every component."""
-    return np.array(
-        [soliton_profile(grid, float(p.lam[i]), float(p.mu[i])) for i in range(p.d)]
-    )
 
 
 def _random_start(p: ParameterSet, grid: RadialGrid, rng):
@@ -328,74 +323,6 @@ def amplitude_step(q, M, level):
     return tau * np.sqrt(t), f
 
 
-def _run_starts(desc: _Descent, starts) -> GroundStateResult:
-    """Run every start and merge: lowest level wins, ties break to the
-    lexicographically smallest support; tied distinct supports are kept as
-    alternates (minimizers need not be unique)."""
-    best = None
-    alternates = {}
-    runs = 0
-    for u0 in starts:
-        out = desc.run(u0)
-        if out is None:
-            continue
-        runs += 1
-        values, iterations, gnorm, converged = out
-        values, level, sup, gnorm = desc.finalize(values)
-        # finalize may zero a slowly decaying component, which leaves a field
-        # that passes the test the descent itself never reached
-        converged = converged or desc.passes(gnorm, level)
-        entry = (level, sup, values, iterations, gnorm, converged)
-        if best is None or _better(entry, best):
-            best = entry
-        elif _tied(entry[0], best[0]) and sup != best[1] and sup not in alternates:
-            alternates[sup] = level
-    if best is None:
-        raise ValueError("no start could be projected onto the constraint set")
-    alternates.pop(best[1], None)
-    level, sup, values, iterations, gnorm, converged = best
-    return GroundStateResult(
-        fields=MultiField(desc.grid, values),
-        level=level,
-        support=sup,
-        iterations=iterations,
-        grad_norm=gnorm,
-        starts_used=runs,
-        converged=converged,
-        alternates=tuple(sorted(alternates.items())),
-    )
-
-
-def minimize_restricted(p: ParameterSet, support, grid: RadialGrid) -> GroundStateResult:
-    """Approximate the ground-state level of the subsystem on ``support``.
-
-    The subsystem ``p.restrict(support)`` keeps the equations in I =
-    ``support`` and is minimized as a system of its own.  The
-    result has d rows, identically zero outside I, and its ``support`` and
-    ``alternates`` use the indices of ``p``.  The start inventory is the
-    subsystem's soliton start plus RANDOM_STARTS seeded random starts.
-
-    A non-converged run is still returned, flagged via ``converged=False``.
-    """
-    support = index_set(support, p.d, "support", 1)
-    sub = p.restrict(support)
-    bitmask = sum(1 << i for i in support)
-    starts = [_soliton_start(sub, grid)] + [
-        _random_start(sub, grid, np.random.default_rng([SEED, 17, bitmask, k]))
-        for k in range(RANDOM_STARTS)
-    ]
-
-    res = _run_starts(_Descent(sub, grid), starts)
-    embedded = np.zeros((p.d, grid.n + 1))
-    embedded[list(support)] = res.fields.values
-
-    def lift(s):
-        return tuple(support[i] for i in s)
-
-    return replace(res, fields=MultiField(grid, embedded), support=lift(res.support),
-                   alternates=tuple((lift(s), lv) for s, lv in res.alternates))
-
-
 def _tied(level, best):
     """``level`` agrees with ``best`` within LEVEL_TIE_TOL, relative."""
     return abs(level - best) <= LEVEL_TIE_TOL * max(1.0, abs(best))
@@ -407,6 +334,75 @@ def _better(entry, best):
     if _tied(entry[0], best[0]):
         return entry[1] < best[1]
     return entry[0] < best[0]
+
+
+def _multistart(p: ParameterSet, grid: RadialGrid, seeded=()) -> GroundStateResult:
+    """Best of the soliton start of ``p``, the ``seeded`` starts and
+    RANDOM_STARTS random starts, in that order, merged by `_better`.
+
+    The k-th random start is drawn from the seed [SEED, k] with the lambda of
+    ``p``, so the result depends only on ``p``, ``grid`` and ``seeded``.  The
+    alternates are the other supports whose level, the first seen for each
+    support, is tied with the winner's (minimizers need not be unique).
+    """
+    soliton = np.array([soliton_profile(grid, float(p.lam[i]), float(p.mu[i]))
+                        for i in range(p.d)])
+    randoms = [_random_start(p, grid, np.random.default_rng([SEED, k]))
+               for k in range(RANDOM_STARTS)]
+    desc = _Descent(p, grid)
+    best = None
+    first_level = {}
+    runs = 0
+    for u0 in [soliton, *seeded, *randoms]:
+        out = desc.run(u0)
+        if out is None:
+            continue
+        runs += 1
+        values, iterations, gnorm, converged = out
+        values, level, sup, gnorm = desc.finalize(values)
+        # finalize may zero a slowly decaying component, which leaves a field
+        # that passes the test the descent itself never reached
+        converged = converged or desc.passes(gnorm, level)
+        first_level.setdefault(sup, level)
+        if best is None or _better((level, sup), best):
+            best = (level, sup, values, iterations, gnorm, converged)
+    if best is None:
+        raise ValueError("no start could be projected onto the constraint set")
+    level, sup, values, iterations, gnorm, converged = best
+    return GroundStateResult(
+        fields=MultiField(grid, values),
+        level=level,
+        support=sup,
+        iterations=iterations,
+        grad_norm=gnorm,
+        starts_used=runs,
+        converged=converged,
+        alternates=tuple(sorted((s, lv) for s, lv in first_level.items()
+                                if s != sup and _tied(lv, level))),
+    )
+
+
+def minimize_restricted(p: ParameterSet, support, grid: RadialGrid) -> GroundStateResult:
+    """Approximate the ground-state level of the subsystem on ``support``.
+
+    The subsystem ``p.restrict(support)`` keeps the equations in I =
+    ``support`` and `_multistart` minimizes it as a system of its own, so the
+    result depends only on the subsystem and ``grid``.  The result has d
+    rows, identically zero outside I, and its ``support`` and ``alternates``
+    use the indices of ``p``.
+
+    A non-converged run is still returned, flagged via ``converged=False``.
+    """
+    support = index_set(support, p.d, "support", 1)
+    res = _multistart(p.restrict(support), grid)
+    embedded = np.zeros((p.d, grid.n + 1))
+    embedded[list(support)] = res.fields.values
+
+    def lift(s):
+        return tuple(support[i] for i in s)
+
+    return replace(res, fields=MultiField(grid, embedded), support=lift(res.support),
+                   alternates=tuple((lift(s), lv) for s, lv in res.alternates))
 
 
 def semitrivial_subsets(d):
@@ -425,8 +421,9 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid, solved=None) -> Semitri
     Inclusion guard: a restricted minimizer of I can settle on the soliton
     of another component than i*, the member of I with the lowest
     single-equation level lambda^((4-N)/2) / mu.  Then (i*,) is solved once,
-    shared between supports, and replaces the result of I when its level is
-    lower and not tied, which is sound because c(I) <= c({i*}).
+    shared between supports, and replaces the result of I when `_better`
+    prefers it (lower level, or a tied level and a smaller support), which is
+    sound because c(I) <= c({i*}).
     """
     if p.d < 2:
         raise ValueError("semitrivial levels need d >= 2")
@@ -445,7 +442,7 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid, solved=None) -> Semitri
             if lowest not in singles:
                 singles[lowest] = minimize_restricted(p, (lowest,), grid)
             single = singles[lowest]
-            if single.level < res.level and not _tied(single.level, res.level):
+            if _better((single.level, single.support), (res.level, res.support)):
                 res = single
         results[subset] = res
     best_subset = None
@@ -459,29 +456,27 @@ def ground_state(p: ParameterSet, grid: RadialGrid,
                  semitrivial: SemitrivialResult = None) -> GroundStateResult:
     """Best level over the full multistart inventory.
 
-    Starts: (a) soliton-type profiles in every slot, (b) each size-(d-1)
-    semitrivial minimizer, bare and with SEMITRIVIAL_EPS times the soliton
-    profile added in the missing slot, (c) seeded random positive profiles.
-    The bare semitrivial starts guarantee the returned level never exceeds
-    the semitrivial level by more than solver noise.  The level is an upper
-    approximation of the true ground-state level.
+    For d = 1 this is the plain `_multistart` of ``p``.  Otherwise each
+    size-(d-1) semitrivial minimizer, bare and with SEMITRIVIAL_EPS times the
+    soliton profile added in the missing slot, is seeded into `_multistart`
+    between its soliton start and its random starts.  The bare semitrivial
+    starts guarantee the returned level never exceeds the semitrivial level
+    by more than solver noise.  The level is an upper approximation of the
+    true ground-state level.
     """
     if p.d == 1:
-        return minimize_restricted(p, (0,), grid)
+        return _multistart(p, grid)
     if semitrivial is None:
         semitrivial = semitrivial_level(p, grid)
 
-    soliton = _soliton_start(p, grid)
-    starts = [soliton]
+    seeded = []
     for subset, res in sorted(semitrivial.results.items()):
         missing = next(i for i in range(p.d) if i not in subset)
         bumped = res.fields.values.copy()
-        bumped[missing] += SEMITRIVIAL_EPS * soliton[missing]
-        starts += [res.fields.values, bumped]
-    starts += [_random_start(p, grid, np.random.default_rng([SEED, 23, k]))
-               for k in range(RANDOM_STARTS)]
-
-    return _run_starts(_Descent(p, grid), starts)
+        bumped[missing] += SEMITRIVIAL_EPS * soliton_profile(
+            grid, float(p.lam[missing]), float(p.mu[missing]))
+        seeded += [res.fields.values, bumped]
+    return _multistart(p, grid, seeded)
 
 
 def perturbation_certificate(p: ParameterSet, semi: GroundStateResult) -> tuple:

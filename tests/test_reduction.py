@@ -1,9 +1,6 @@
-import itertools
-
 import numpy as np
 import pytest
 
-import cnls.functional
 from cnls.functional import action
 from cnls.grid import RadialGrid
 from cnls.params import ParameterSet
@@ -13,7 +10,6 @@ from cnls.reduction import (
     REGIME_VERTEX,
     lift_ground_state,
     reduce_system,
-    simplex_qp_max,
     sphere_max,
 )
 from cnls.solver import ground_state
@@ -87,16 +83,6 @@ class TestSphereMax:
         assert abs(lo.f_max - b) < 1e-4
         assert abs(hi.f_max - b) < 1e-4
 
-    def test_agrees_with_brute_force(self):
-        # the brute force is simplex_qp_max's enumeration of all supports
-        rng = np.random.default_rng(5)
-        for k in range(2, 7):
-            for _ in range(10):
-                mu = rng.uniform(0.2, 2.0, size=k)
-                b = rng.uniform(0.3, 3.0)
-                exact, _ = simplex_qp_max(coupling_matrix(mu, b))
-                assert sphere_max(mu, b).f_max == pytest.approx(exact, rel=1e-12, abs=0)
-
     @pytest.mark.parametrize(
         "mu,b,name",
         [([np.inf, 1.0], 2.0, "mu"), ([np.nan, 1.0], 2.0, "mu"), ([1.0, 1.0], np.nan, "b"),
@@ -106,119 +92,6 @@ class TestSphereMax:
     def test_rejects_non_finite_or_non_vector_input(self, mu, b, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             sphere_max(mu, b)
-
-
-class TestSimplexQP:
-    def test_never_below_dense_sampling_of_the_simplex(self):
-        # the one check of the enumerator that does not go through sphere_max
-        rng = np.random.default_rng(13)
-        for trial in range(200):
-            k = 2 + trial % 4
-            A = rng.uniform(-1.0, 2.0, size=(k, k))
-            B = A + A.T
-            F, z = simplex_qp_max(B)
-            assert np.all(z >= 0) and z.sum() == pytest.approx(1.0, abs=1e-14)
-            assert z @ B @ z == pytest.approx(F, rel=1e-13, abs=1e-15)
-            samples = np.vstack([rng.dirichlet(np.full(k, alpha), size=5000)
-                                 for alpha in (1.0, 0.2)])
-            sampled = np.einsum("ni,ij,nj->n", samples, B, samples).max()
-            assert sampled <= F + 1e-12 * abs(F)
-
-    @staticmethod
-    def enumerated(B):
-        """Maximum of z^T B z over the simplex from the KKT system of every
-        support S: B_SS z_S = F 1 with sum(z_S) = 1, solved bordered (no
-        shift, no pruning) and kept where z_S > 0."""
-        k = B.shape[0]
-        best = -np.inf
-        for size in range(1, k + 1):
-            for S in itertools.combinations(range(k), size):
-                S = list(S)
-                K = np.ones((size + 1, size + 1))
-                K[:size, :size] = B[np.ix_(S, S)]
-                K[size, size] = 0.0
-                rhs = np.zeros(size + 1)
-                rhs[size] = 1.0
-                try:
-                    z = np.linalg.solve(K, rhs)[:size]
-                except np.linalg.LinAlgError:
-                    continue
-                if np.all(z > 0.0):
-                    best = max(best, z @ B[np.ix_(S, S)] @ z)
-        return best
-
-    def test_each_kernel_rule_agrees_with_full_enumeration(self, monkeypatch):
-        # rule 1: positive definite; rule 2: one positive eigenvalue and
-        # B^-1 1 > 0; rule 3: the rest (several positive eigenvalues, a
-        # negative definite B whose maximum is negative, B^-1 1 of mixed
-        # sign), with entries of both signs and a constant shift throughout
-        enumerations = []
-        supports = cnls.functional._simplex_supports
-
-        def counted(B):
-            enumerations.append(B)
-            return supports(B)
-
-        monkeypatch.setattr(cnls.functional, "_simplex_supports", counted)
-        rng = np.random.default_rng(31)
-        hits = {1: 0, 2: 0, 3: 0}
-        for trial in range(600):
-            k = 2 + trial % 5
-            A = rng.normal(size=(k, k))
-            N = A @ A.T / k + 0.1 * np.eye(k)
-            shift = rng.uniform(-1.0, 1.0)
-            kind = trial % 3
-            if kind == 0:
-                B = N + abs(shift)
-            elif kind == 1:
-                N = np.diag(rng.uniform(0.5, 2.0, size=k)) + 0.1 * (N - np.diag(N.diagonal()))
-                B = rng.uniform(1.0, 3.0) - N
-            else:
-                B = rng.uniform(-1.0, 2.0, size=(k, k))
-                B = B + B.T + shift if trial % 2 else -N + shift
-            before = len(enumerations)
-            F, z = simplex_qp_max(B)
-            rule = 3 if len(enumerations) > before else 1 if np.count_nonzero(z) == 1 else 2
-            hits[rule] += 1
-            assert F == pytest.approx(self.enumerated(B), rel=1e-12, abs=1e-14), (trial, rule)
-            assert np.all(z >= 0.0) and z.sum() == pytest.approx(1.0, abs=1e-14)
-            assert z @ B @ z == pytest.approx(F, rel=1e-13, abs=1e-15)
-        assert min(hits.values()) >= 100, hits
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    def test_zero_mu_has_singular_vertices_and_the_uniform_maximizer(self, k):
-        F, z = simplex_qp_max(coupling_matrix(np.zeros(k), 1.0))
-        assert F == pytest.approx(1.0 - 1.0 / k, rel=1e-14)
-        assert np.allclose(z, 1.0 / k, rtol=0, atol=1e-14)
-
-    def test_exact_face_tie_has_singular_blocks(self):
-        # mu_0 = mu_1 = b: every B_SS with {0, 1} in S is singular
-        F, z = simplex_qp_max(coupling_matrix([2.0, 2.0, 1.0], 2.0))
-        assert F == 2.0 and np.array_equal(z, [1.0, 0.0, 0.0])
-
-    def test_single_entry(self):
-        for value in (3.0, 0.0, -2.5):
-            F, z = simplex_qp_max([[value]])
-            assert F == value and np.array_equal(z, [1.0])
-
-    def test_non_positive_maximum(self):
-        # F = 0: the vertex blocks [[0]] are singular and B^-1 1 < 0, so only
-        # the solves on B + c find the maximizers
-        F, z = simplex_qp_max([[0.0, -1.0], [-1.0, 0.0]])
-        assert F == 0.0 and np.array_equal(z, [1.0, 0.0])
-        F, _ = simplex_qp_max([[-3.0, -1.0], [-1.0, -2.0]])
-        assert F == pytest.approx(-5.0 / 3.0, rel=1e-14)  # z = (1/3, 2/3)
-
-    @pytest.mark.parametrize(
-        "B,match",
-        [(np.ones(3), "square"), (np.ones((2, 3)), "square"), (np.ones((0, 0)), "square"),
-         ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"), ([[1.0, np.inf], [1.0, 1.0]], "non-finite"),
-         ([[1.0, 2.0], [3.0, 1.0]], "symmetric")],
-        ids=["vector", "rectangular", "empty", "nan", "inf", "asymmetric"],
-    )
-    def test_rejects_malformed_matrix(self, B, match):
-        with pytest.raises(ValueError, match=f"^B .*{match}"):
-            simplex_qp_max(B)
 
 
 class TestReduceSystem:

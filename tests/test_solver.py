@@ -14,7 +14,7 @@ from cnls.solver import (
     SEMITRIVIAL_EPS,
     THETA_TRIV,
     _Descent,
-    _run_starts,
+    _multistart,
     amplitude_step,
     ground_state,
     minimize_restricted,
@@ -142,7 +142,7 @@ class TestDescent:
         (False, 1e-5, False),   # still above GRAD_TOL after finalize
         (True, 1e-5, True),     # a converged start is never downgraded
     ])
-    def test_converged_agrees_with_the_reported_gradient(self, grid, run_converged,
+    def test_converged_agrees_with_the_reported_gradient(self, grid, monkeypatch, run_converged,
                                                           final_gnorm, converged):
         class Stub(_Descent):
             def run(self, u0):
@@ -151,11 +151,51 @@ class TestDescent:
             def finalize(self, values):
                 return values, 1.0, (0,), final_gnorm
 
-        p = ParameterSet.make([1.0], [1.0], 0.0)
-        start = soliton_profile(grid, 1.0, 1.0)[None, :]
-        res = _run_starts(Stub(p, grid), [start])
+        monkeypatch.setattr(cnls.solver, "_Descent", Stub)
+        res = _multistart(ParameterSet.make([1.0], [1.0], 0.0), grid)
         assert res.grad_norm == final_gnorm
         assert res.converged is converged
+
+
+class TestMultistart:
+    @staticmethod
+    def scripted(monkeypatch, grid, outcomes):
+        """`_multistart` on a stub descent whose k-th start finalizes to
+        outcomes[k] = (level, support); starts past the end of the script
+        cannot be projected."""
+        script = iter(outcomes)
+
+        class Stub(_Descent):
+            def run(self, u0):
+                self.outcome = next(script, None)
+                return None if self.outcome is None else (u0, 7, 0.0, True)
+
+            def finalize(self, values):
+                level, support = self.outcome
+                return np.zeros_like(values), level, support, 0.0
+
+        monkeypatch.setattr(cnls.solver, "_Descent", Stub)
+        return _multistart(ParameterSet.make([1.0], [1.0], 0.0), grid)
+
+    def test_alternates_are_tied_with_the_winner_not_with_an_earlier_best(self, grid,
+                                                                           monkeypatch):
+        res = self.scripted(monkeypatch, grid, [(2.0, (0, 1, 2)), (2.0, (1,)), (1.0, (2,))])
+        assert (res.level, res.support, res.starts_used) == (1.0, (2,), 3)
+        assert res.alternates == ()
+
+    def test_a_tied_support_beaten_on_the_tie_break_stays_an_alternate(self, grid,
+                                                                        monkeypatch):
+        res = self.scripted(monkeypatch, grid, [(2.0, (0, 1, 2)), (2.0, (0,))])
+        assert (res.level, res.support, res.starts_used) == (2.0, (0,), 2)
+        assert res.alternates == (((0, 1, 2), 2.0),)
+
+    def test_result_does_not_depend_on_the_start_order(self, grid, monkeypatch):
+        # the soliton start and the RANDOM_STARTS = 2 random starts
+        outcomes = [(2.0, (0, 1, 2)), (1.0, (1,)), (1.0 + 1e-12, (0, 2))]
+        for order in itertools.permutations(outcomes):
+            res = self.scripted(monkeypatch, grid, order)
+            assert (res.level, res.support) == (1.0 + 1e-12, (0, 2))
+            assert res.alternates == (((1,), 1.0),)
 
 
 class TestAmplitudeStep:
@@ -352,10 +392,8 @@ class TestMinimizeRestricted:
         assert np.all(res.fields.values[1] == 0.0)
         assert set(res.support) <= {0, 2}
 
-    def test_support_solves_the_subsystem_with_indices_mapped(self, grid, monkeypatch):
-        # the random starts are keyed by the caller's support indices, so
-        # only the soliton start is shared with the native pair
-        monkeypatch.setattr(cnls.solver, "RANDOM_STARTS", 0)
+    def test_support_solves_the_subsystem_with_indices_mapped(self, grid):
+        # every start of a restricted solve depends only on its subsystem
         p3 = ParameterSet.make([1.0, 1.3, 0.9], [1.0, 1.1, 0.8], 3.0)
         p2 = ParameterSet.make([1.0, 0.9], [1.0, 0.8], 3.0)
         res = minimize_restricted(p3, (0, 2), grid)
