@@ -1,9 +1,12 @@
 """Command-line interface: solve, classify, sweep, reduce, thresholds, selftest.
 
 One JSON config file is the sole positional argument (sweeps are
-config-heavy, and a single artifact per run aids provenance); flags only
-override the output directory and the worker count.  Every output file
-embeds the tool version, the solver seed and a hash of the effective config.
+config-heavy, and a single artifact per run aids provenance).  A command
+takes only the flags it reads: `--output-dir` (solve, classify, sweep),
+`--workers` (sweep) and `--only` (selftest).  This module writes every
+output file: result.json and profiles.csv (solve), verdict.json (classify)
+and sweep.csv (sweep).  Each embeds the tool version, the solver seed and
+a hash of the effective config.
 
 Exit codes: 0 success, 1 usage/validation error (a malformed command line
 included), 2 converged with warnings (e.g. a flagged non-converged solve;
@@ -20,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .functional import action
-from .grid import RadialGrid, write_profiles_csv
+from .grid import RadialGrid
 from .params import ParameterSet, as_float, as_int
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .phase import (
@@ -30,7 +33,6 @@ from .phase import (
     classify,
     evaluate_predicates,
     sweep,
-    write_sweep_csv,
 )
 from .reduction import reduce_system
 from .solver import SEED, ground_state
@@ -108,11 +110,13 @@ def _effective_config(config, args):
 
 
 def _phase_options(config):
+    """The `PhaseOptions` of a config; an absent key keeps its default there."""
     grid_cfg = config.get("grid", {})
-    R = grid_cfg.get("R", "auto")
-    R = None if R in (None, "auto") else as_float(R, "grid.R")
-    n = as_int(grid_cfg.get("n", 2000), "grid.n")
-    kwargs = dict(grid_n=n, grid_R=R)
+    kwargs = {}
+    if "n" in grid_cfg:
+        kwargs["grid_n"] = as_int(grid_cfg["n"], "grid.n")
+    if grid_cfg.get("R", "auto") not in (None, "auto"):
+        kwargs["grid_R"] = as_float(grid_cfg["R"], "grid.R")
     if "workers" in config:
         kwargs["workers"] = as_int(config["workers"], "workers")
     return PhaseOptions(**kwargs)
@@ -139,8 +143,43 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def cmd_solve(config):
-    p = ParameterSet.from_json_dict(config["parameters"])
+def _write_csv(path, meta, columns, rows):
+    """A CSV file: the provenance line `# tool=... seed=...`, the column names
+    and the rows (lists of strings)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_profiles_csv(path, mf, meta):
+    """Columns r, u1, ..., ud of a `MultiField`, one row per grid node."""
+    columns = ["r"] + [f"u{i + 1}" for i in range(mf.d)]
+    rows = ([repr(float(r))] + [repr(float(u)) for u in mf.values[:, j]]
+            for j, r in enumerate(mf.grid.nodes))
+    _write_csv(path, meta, columns, rows)
+
+
+def write_sweep_csv(path, points, axes, meta):
+    """One row per `SweepPoint`: the swept values, both levels, the margin,
+    the verdict, the certificate and the predicate flags."""
+    paths = [axis for axis, _ in axes]
+    columns = paths + ["full_level", "semitrivial_level", "margin", "verdict",
+                       "certificate_held"] + [f"pred_{name}" for name in PREDICATE_NAMES]
+
+    def row(pt):
+        v = pt.verdict
+        return ([repr(pt.values[axis]) for axis in paths]
+                + [repr(v.numeric_full_level), repr(v.numeric_semitrivial_level),
+                   repr(v.margin), v.verdict, str(v.certificate_held).lower()]
+                + [str(rep.satisfied).lower() if rep.applicable else "n/a"
+                   for rep in map(v.predicates.get, PREDICATE_NAMES)])
+
+    _write_csv(path, meta, columns, map(row, points))
+
+
+def cmd_solve(config, p):
     opts = _phase_options(config)
     grid = build_grid(p, opts)
     res = ground_state(p, grid)
@@ -159,15 +198,13 @@ def cmd_solve(config):
             "level_drift": abs(res2.level - res.level),
         }
     _write_json(out / "result.json", payload)
-    with open(out / "profiles.csv", "w", encoding="utf-8", newline="\n") as fh:
-        write_profiles_csv(res.fields, fh, meta)
+    write_profiles_csv(out / "profiles.csv", res.fields, meta)
     support = ",".join(str(i) for i in res.support)
     print(f"level={res.level:.6f} support=[{support}] converged={res.converged}")
     return EXIT_OK if res.converged else EXIT_WARNINGS
 
 
-def cmd_classify(config):
-    p = ParameterSet.from_json_dict(config["parameters"])
+def cmd_classify(config, p):
     opts = _phase_options(config)
     verdict = classify(p, opts)
     out = _outdir(config)
@@ -183,23 +220,19 @@ def cmd_classify(config):
     return EXIT_OK if verdict.diagnostics["solver_converged"] else EXIT_WARNINGS
 
 
-def cmd_sweep(config):
-    p = ParameterSet.from_json_dict(config["parameters"])
+def cmd_sweep(config, p):
     opts = _phase_options(config)
     axes = [(a["path"], a["values"]) for a in config.get("sweep", {}).get("axes", [])]
     if not axes:
-        return cmd_classify(config)
+        return cmd_classify(config, p)
     points = sweep(p, axes, opts)
-    out = _outdir(config)
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(points, axes, fh, _meta(config))
+    write_sweep_csv(_outdir(config) / "sweep.csv", points, axes, _meta(config))
     flagged = sum(1 for pt in points if not pt.verdict.diagnostics["solver_converged"])
     print(f"swept {len(points)} points -> sweep.csv ({flagged} flagged)")
     return EXIT_OK if flagged == 0 else EXIT_WARNINGS
 
 
-def cmd_reduce(config):
-    p = ParameterSet.from_json_dict(config["parameters"])
+def cmd_reduce(config, p):
     group = config.get("reduce", {}).get("group")
     if not isinstance(group, list):
         raise ValueError('reduce needs config["reduce"]["group"] (a list of component indices)')
@@ -215,8 +248,7 @@ def cmd_reduce(config):
     return EXIT_OK
 
 
-def cmd_thresholds(config):
-    p = ParameterSet.from_json_dict(config["parameters"])
+def cmd_thresholds(config, p):
     preds = evaluate_predicates(p)
     tail = preds["lambda_tail"].info
     alpha = f"{tail['alpha']:.6g}" if "alpha" in tail else f"n/a ({tail['reason']})"
@@ -254,28 +286,38 @@ def cmd_selftest(args):
     return EXIT_OK if npass == len(results) else EXIT_USAGE
 
 
+#: The flags of the config commands; each overrides one config entry.
+_OUTPUT_DIR = ("--output-dir", {"help": 'override the output directory ("output.dir")'})
+_WORKERS = ("--workers", {"type": int, "help": 'override the worker count ("workers")'})
+
+#: The config commands: name -> (handler, help text, the flags it reads).
+_COMMANDS = {
+    "solve": (cmd_solve, "compute the ground state and write result.json/profiles.csv",
+              [_OUTPUT_DIR]),
+    "classify": (cmd_classify, "classify the parameter set and write verdict.json",
+                 [_OUTPUT_DIR]),
+    "sweep": (cmd_sweep, "classify a grid of parameter values and write sweep.csv",
+              [_OUTPUT_DIR, _WORKERS]),
+    "reduce": (cmd_reduce, "merge an equal-lambda group and print the reduced system", []),
+    "thresholds": (cmd_thresholds, "print the closed-form thresholds for the parameters", []),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cnls",
         description=(
-            "Ground states of weakly coupled cubic Schrodinger systems: "
-            "solve, classify, sweep, reduce, thresholds, selftest."
+            "Ground states of weakly coupled cubic Schrodinger systems. Every "
+            "command but selftest reads one JSON run config; solve, classify and "
+            "sweep write their output files into its output directory."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "compute the ground state and write result.json/profiles.csv"),
-        ("classify", "classify the parameter set and write verdict.json"),
-        ("sweep", "classify a grid of parameter values and write sweep.csv"),
-        ("reduce", "merge an equal-lambda group and print the reduced system"),
-        ("thresholds", "print the closed-form thresholds for the parameters"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="path to the JSON run config")
-        sp.add_argument("--output-dir", default=None,
-                        help="override the output directory")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="override the sweep worker count")
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
     st = sub.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--only", default=None,
                     help="comma-separated criterion ids (e.g. 01,03,10)")
@@ -291,14 +333,8 @@ def main(argv=None):
         if args.command == "selftest":
             return cmd_selftest(args)
         config = _effective_config(_load_config(args.config), args)
-        handler = {
-            "solve": cmd_solve,
-            "classify": cmd_classify,
-            "sweep": cmd_sweep,
-            "reduce": cmd_reduce,
-            "thresholds": cmd_thresholds,
-        }[args.command]
-        return handler(config)
+        handler = _COMMANDS[args.command][0]
+        return handler(config, ParameterSet.from_json_dict(config["parameters"]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

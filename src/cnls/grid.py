@@ -187,15 +187,3 @@ def operator_tridiag(grid, potential):
     n, c = grid.n, grid.conductance
     diag = np.append(c[0], c[: n - 1] + c[1:n]) + grid.weights[:n] * potential
     return diag, -c[: n - 1]
-
-
-def write_profiles_csv(mf: MultiField, fobj, meta=None):
-    """Write profiles as CSV columns r, u1, ..., ud (plus a comment header)."""
-    if meta:
-        pairs = " ".join(f"{k}={v}" for k, v in meta.items())
-        fobj.write(f"# {pairs}\n")
-    d = mf.d
-    fobj.write("r," + ",".join(f"u{i + 1}" for i in range(d)) + "\n")
-    for j, r in enumerate(mf.grid.nodes):
-        row = [repr(float(r))] + [repr(float(mf.values[i, j])) for i in range(d)]
-        fobj.write(",".join(row) + "\n")

@@ -327,7 +327,7 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
     """Classify the cartesian product of the axes (row-major, deterministic).
 
     ``axes`` is a list of (path, values) with distinct paths (each path is
-    one CSV column).  With no axes the base point alone is classified.  A
+    one swept parameter).  With no axes the base point alone is classified.  A
     restricted problem of size d-1 that two or more points share (same
     support, grid and restricted parameters) is solved once, before the
     points, and its result is handed to each of them.  With
@@ -378,29 +378,3 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
         SweepPoint(values=dict(assignments), verdict=v)
         for assignments, v in zip(points, verdicts)
     ]
-
-
-def write_sweep_csv(points, axes, fobj, meta=None):
-    """CSV: swept values, both levels, margin, verdict, certificate, predicates."""
-    if meta:
-        pairs = " ".join(f"{k}={v}" for k, v in meta.items())
-        fobj.write(f"# {pairs}\n")
-    paths = [path for path, _ in axes]
-    header = paths + [
-        "full_level", "semitrivial_level", "margin", "verdict", "certificate_held",
-    ] + [f"pred_{name}" for name in PREDICATE_NAMES]
-    fobj.write(",".join(header) + "\n")
-    for pt in points:
-        v = pt.verdict
-        row = [repr(pt.values[path]) for path in paths]
-        row += [
-            repr(v.numeric_full_level),
-            repr(v.numeric_semitrivial_level),
-            repr(v.margin),
-            v.verdict,
-            str(v.certificate_held).lower(),
-        ]
-        for name in PREDICATE_NAMES:
-            rep = v.predicates[name]
-            row.append(str(rep.satisfied).lower() if rep.applicable else "n/a")
-        fobj.write(",".join(row) + "\n")

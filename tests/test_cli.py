@@ -3,10 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cnls import cli, phase, solver
 from cnls.cli import main
+from cnls.grid import MultiField, RadialGrid
 
 SINGLE = {
     "parameters": {"d": 1, "N": 1, "lambda": [1.0], "mu": [1.0], "b": [[0.0]]},
@@ -23,8 +25,9 @@ PAIR = {
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """Write ``payload`` as JSON, or verbatim if it is a string."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -39,17 +42,56 @@ def test_readme_example_config_loads(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["solve"], ["frob", "x"], ["solve", "{cfg}", "--seed", "3"],
-], ids=["no-config", "unknown-command", "removed-seed-flag"])
-def test_usage_error_exit_1(tmp_path, capsys, argv):
+    # a command takes only the flags it reads
+    ["solve", "{cfg}", "--workers", "2"], ["classify", "{cfg}", "--workers", "2"],
+    ["reduce", "{cfg}", "--workers", "2"], ["thresholds", "{cfg}", "--workers", "2"],
+    ["reduce", "{cfg}", "--output-dir", "out"], ["thresholds", "{cfg}", "--output-dir", "out"],
+], ids=["no-config", "unknown-command", "removed-seed-flag", "solve-workers",
+        "classify-workers", "reduce-workers", "thresholds-workers", "reduce-output-dir",
+        "thresholds-output-dir"])
+def test_usage_error_exit_1(tmp_path, capsys, monkeypatch, argv):
     # argparse's own status 2 would read as "finished with warnings"
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, SINGLE)
     assert main([arg.format(cfg=cfg) for arg in argv]) == 1
     assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_help_exit_0(capsys):
     assert main(["solve", "--help"]) == 0
     assert "--seed" not in capsys.readouterr().out
+
+
+def test_each_command_lists_only_the_flags_it_reads(capsys):
+    assert main(["--help"]) == 0
+    assert "{solve,classify,sweep,reduce,thresholds,selftest}" in capsys.readouterr().out
+    for command, flags in (("solve", ["--output-dir"]), ("classify", ["--output-dir"]),
+                           ("sweep", ["--output-dir", "--workers"]), ("reduce", []),
+                           ("thresholds", []), ("selftest", ["--only"])):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == {"--help", *flags}, command
+
+
+def test_profiles_csv_writer(tmp_path):
+    g = RadialGrid.make(1, 2.0, 4)
+    mf = MultiField(g, np.array([[1.0, 2.0, 3.0, 4.0, 0.0], [0.0] * 5]))
+    cli.write_profiles_csv(tmp_path / "profiles.csv", mf, {"tool": "cnls", "seed": 7})
+    lines = (tmp_path / "profiles.csv").read_text().splitlines()
+    assert lines[0] == "# tool=cnls seed=7"
+    assert lines[1] == "r,u1,u2"
+    assert len(lines) == 2 + 5
+    assert lines[2].split(",")[1] == "1.0"
+
+
+#: The error a malformed config must name, where one check alone could catch it.
+MALFORMED_ERRORS = {
+    "invalid-json": "is not valid JSON",
+    "non-object-config": "config must be a JSON object",
+    "no-parameters": 'config needs a "parameters" object',
+    "empty-axis-values": "axis 'b' has no values",
+}
 
 
 class TestSolve:
@@ -124,6 +166,11 @@ class TestSolve:
             parameters=PAIR["parameters"], sweep={"axes": [{"path": "b", "values": [3.0]}]})),
         ("solve", lambda c: c["parameters"].update(mu=["1.0"])),
         ("solve", lambda c: c["parameters"].update(b=[[True]])),
+        ("solve", lambda c: '{"parameters": '),
+        ("solve", lambda c: "[1]"),
+        ("solve", lambda c: c.pop("parameters")),
+        ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
+            {"path": "b", "values": []}]})),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
@@ -131,15 +178,19 @@ class TestSolve:
             "string-check_truncation", "misspelt-key", "removed-margin_tol",
             "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
             "unknown-reduce-key", "unknown-output-key", "repeated-axis-path",
-            "unknown-axis-key", "nan-R", "workers-over-cap", "string-mu", "bool-b"])
-    def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, argv, edit):
+            "unknown-axis-key", "nan-R", "workers-over-cap", "string-mu", "bool-b",
+            "invalid-json", "non-object-config", "no-parameters", "empty-axis-values"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, request, argv, edit):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
         cfg["output"] = {"dir": "out"}
-        edit(cfg)
+        text = edit(cfg)  # a string replaces the whole config file
         command, *flags = argv.split()
-        assert main([command, write_config(tmp_path, cfg), *flags]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        path = write_config(tmp_path, text if isinstance(text, str) else cfg)
+        assert main([command, path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert MALFORMED_ERRORS.get(request.node.callspec.id, "") in err
         assert not (tmp_path / "out").exists()
 
     def test_removed_solver_section_is_named(self, tmp_path, capsys, monkeypatch):
@@ -173,13 +224,14 @@ class TestSolve:
         assert result["result"]["converged"] is False
 
     def test_workers_override_changes_hash(self, tmp_path):
-        cfg = dict(SINGLE)
+        # sweep alone takes --workers; with no axes it writes verdict.json
+        cfg = dict(PAIR)
         cfg["output"] = {"dir": str(tmp_path / "out")}
         path = write_config(tmp_path, cfg)
         hashes = []
         for flags in ([], ["--workers", "2"]):
-            assert main(["solve", path, *flags]) == 0
-            result = json.loads((tmp_path / "out" / "result.json").read_text())
+            assert main(["sweep", path, *flags]) == 0
+            result = json.loads((tmp_path / "out" / "verdict.json").read_text())
             hashes.append(result["config_sha256"])
         assert hashes[0] != hashes[1]
 

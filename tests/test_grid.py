@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from cnls.grid import (
     neg_lap_plus_raw,
     operator_tridiag,
     wdot,
-    write_profiles_csv,
 )
 from cnls.params import ParameterSet
 
@@ -70,6 +67,7 @@ def test_make_rejects_a_radius_that_is_not_finite_and_positive(R):
     (1.9, 20.0, 2000, "N must be an integer"), (1, 20.0, 2000.7, "n must be an integer"),
     (1, True, 2000, "R must be a number"), (True, 20.0, 2000, "N must be an integer"),
     (1, "20", 2000, "R must be a number"), (1, 20.0, 2000.0, "n must be an integer"),
+    (4, 20.0, 2000, "N must be 1, 2 or 3"), (1, 20.0, 1, "n must be >= 2"),
 ])
 def test_make_rejects_arguments_it_would_coerce(N, R, n, message):
     with pytest.raises(ValueError, match=f"^{message}, got "):
@@ -270,14 +268,3 @@ class TestRefinementConvergence:
             g = RadialGrid.make(1, 20.0, n)
             assert abs(l4_raw(g, sech_field(g)) - SOLITON_H1) < 1e-12
 
-
-def test_profiles_csv_writer():
-    g = RadialGrid.make(1, 2.0, 4)
-    mf = MultiField(g, np.array([[1.0, 2.0, 3.0, 4.0, 0.0], [0.0] * 5]))
-    buf = io.StringIO()
-    write_profiles_csv(mf, buf, meta={"tool": "cnls"})
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("# tool=cnls")
-    assert lines[1] == "r,u1,u2"
-    assert len(lines) == 2 + 5
-    assert lines[2].split(",")[1] == "1.0"

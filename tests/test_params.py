@@ -135,8 +135,17 @@ def test_validate_rejects_nonfinite_lambda_and_mu(key, value):
 
 
 def test_validate_rejects_bad_dimension():
-    with pytest.raises(ValueError, match="N must be"):
-        ParameterSet(d=1, N=4, lam=np.ones(1), mu=np.ones(1), b=np.zeros((1, 1)))
+    one, two, pair_b = np.ones(1), np.ones(2), np.array([[0.0, 2.0], [2.0, 0.0]])
+    for d, N, lam, mu, b, message in (
+        (1, 4, one, one, np.zeros((1, 1)), "N must be 1, 2 or 3, got 4"),
+        (0, 1, [], [], np.zeros((0, 0)), "d must be >= 1, got 0"),
+        (2, 1, one, two, pair_b, r"lambda must have length d=2, got shape \(1,\)"),
+        (2, 1, two, [1.0, 1.0, 1.0], pair_b, r"mu must have length d=2, got shape \(3,\)"),
+        (2, 1, two, two, np.ones((2, 3)), r"b must be a 2x2 matrix, got shape \(2, 3\)"),
+        (2, 1, two, two, [2.0, 2.0], r"b must be a 2x2 matrix, got shape \(2,\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ParameterSet(d=d, N=N, lam=lam, mu=mu, b=b)
 
 
 def test_validate_rejects_noncooperative_coupling():
@@ -260,6 +269,11 @@ class TestSmallBBound:
     def test_requires_two_components(self):
         with pytest.raises(ValueError):
             small_b_bound([1.0])
+
+    @pytest.mark.parametrize("mu", [[1.0, 0.0], [-1.0, 2.0, 3.0]])
+    def test_requires_positive_mu(self, mu):
+        with pytest.raises(ValueError, match="^mu entries must be > 0$"):
+            small_b_bound(mu)
 
 
 class TestCouplingSpread:

@@ -1,10 +1,10 @@
-import io
 import json
 
 import numpy as np
 import pytest
 
 from cnls import phase, simplex_qp_max, solver
+from cnls.cli import write_sweep_csv
 from cnls.params import ParameterSet, small_b_bound
 from cnls.phase import (
     FULLY_NONTRIVIAL,
@@ -19,7 +19,6 @@ from cnls.phase import (
     evaluate_predicates,
     set_parameter,
     sweep,
-    write_sweep_csv,
 )
 
 SINGLE_LEVEL = 4.0 / 3.0
@@ -32,7 +31,7 @@ FAST = PhaseOptions(grid_n=600, grid_R=20.0)
     [{"grid_n": 150.7}, {"grid_n": True}, {"grid_n": "400"},
      {"workers": 1.5}, {"workers": True}, {"workers": "2"},
      {"grid_R": True}, {"grid_R": "20"},
-     {"grid_R": float("nan")}, {"grid_R": float("inf")}],
+     {"grid_R": float("nan")}, {"grid_R": float("inf")}, {"grid_n": 99}],
     ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
 )
 def test_phase_options_reject_mistyped_fields(kwargs):
@@ -49,6 +48,22 @@ def test_phase_options_cap_the_worker_pool():
 
 
 class TestClassify:
+    def test_armijo_backtracking_keeps_a_wide_range_draw_converged(self, monkeypatch):
+        # a wide-range draw whose descents backtrack; ending a descent at its
+        # first failed trial leaves the full solve unconverged
+        p = ParameterSet.from_json_dict({
+            "d": 5, "N": 3, "lambda": [1.0, 1.7, 0.365, 0.665, 2.5],
+            "mu": [0.00553, 4.51, 0.0552, 0.298, 0.0258],
+            "b": [[0, 20.5, 0.289, 0.0256, 28.8], [20.5, 0, 0.00418, 0.00168, 0.00718],
+                  [0.289, 0.00418, 0, 0.386, 0.562], [0.0256, 0.00168, 0.386, 0, 0.646],
+                  [28.8, 0.00718, 0.562, 0.646, 0]]})
+        opts = PhaseOptions(grid_n=150)
+        v = classify(p, opts)
+        assert v.verdict == SEMITRIVIAL and v.diagnostics["solver_converged"]
+        monkeypatch.setattr(solver, "BACKTRACK_FACTOR", 1e-300)
+        v = classify(p, opts)
+        assert v.verdict == INCONCLUSIVE and not v.diagnostics["full"]["converged"]
+
     def test_strong_coupling_pair_is_fully_nontrivial(self):
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), FAST)
         assert v.verdict == FULLY_NONTRIVIAL
@@ -274,15 +289,14 @@ class TestSweep:
         assert [pt.values["b"] for pt in points] == [2.0, 2.0, 3.0, 3.0]
         assert [pt.values["lambda[2]"] for pt in points] == [1.5, 2.0, 1.5, 2.0]
 
-    def test_deterministic_csv(self):
+    def test_deterministic_csv(self, tmp_path):
         base = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
         axes = [("b", [0.5, 3.0])]
         blobs = []
         for _ in range(2):
             points = sweep(base, axes, FAST)
-            buf = io.StringIO()
-            write_sweep_csv(points, axes, buf, meta={"seed": 12345})
-            blobs.append(buf.getvalue())
+            write_sweep_csv(tmp_path / "sweep.csv", points, axes, {"seed": 12345})
+            blobs.append((tmp_path / "sweep.csv").read_text())
         assert blobs[0] == blobs[1]
         lines = blobs[0].splitlines()
         assert lines[1].startswith("b,full_level,semitrivial_level,margin,verdict")
@@ -361,7 +375,7 @@ class TestSweepSharesRestrictedSolves:
 
     @pytest.mark.parametrize("case", [PAIR_B_SWEEP, TRIPLE_TWO_AXES], ids=["pair-b", "triple-2axes"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_outputs_match_classifying_each_point_alone(self, case, workers):
+    def test_outputs_match_classifying_each_point_alone(self, case, workers, tmp_path):
         base, axes = case
         opts = PhaseOptions(grid_n=400)
         points = sweep(base, axes, PhaseOptions(grid_n=400, workers=workers))
@@ -373,9 +387,8 @@ class TestSweepSharesRestrictedSolves:
             alone.append(SweepPoint(values=pt.values, verdict=classify(p, opts)))
         blobs = []
         for pts in (points, alone):
-            buf = io.StringIO()
-            write_sweep_csv(pts, axes, buf)
-            blobs.append(buf.getvalue())
+            write_sweep_csv(tmp_path / "sweep.csv", pts, axes, {"seed": 12345})
+            blobs.append((tmp_path / "sweep.csv").read_text())
         assert blobs[0] == blobs[1]
         for a, b in zip(points, alone):
             assert json.dumps(a.verdict.to_json_dict()) == json.dumps(b.verdict.to_json_dict())

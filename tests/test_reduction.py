@@ -84,13 +84,15 @@ class TestSphereMax:
         assert abs(hi.f_max - b) < 1e-4
 
     @pytest.mark.parametrize(
-        "mu,b,name",
-        [([np.inf, 1.0], 2.0, "mu"), ([np.nan, 1.0], 2.0, "mu"), ([1.0, 1.0], np.nan, "b"),
-         ([1.0, 1.0], np.inf, "b"), ([[1.0, 1.0]], 2.0, "mu"), (np.ones((2, 2)), 2.0, "mu")],
-        ids=["inf-mu", "nan-mu", "nan-b", "inf-b", "row-mu", "matrix-mu"],
+        "mu,b,message",
+        [([np.inf, 1.0], 2.0, "mu must be"), ([np.nan, 1.0], 2.0, "mu must be"),
+         ([1.0, 1.0], np.nan, "b must be"), ([1.0, 1.0], np.inf, "b must be"),
+         ([[1.0, 1.0]], 2.0, "mu must be"), (np.ones((2, 2)), 2.0, "mu must be"),
+         ([1.0], 2.0, "sphere_max needs k >= 2, got 1")],
+        ids=["inf-mu", "nan-mu", "nan-b", "inf-b", "row-mu", "matrix-mu", "one-entry"],
     )
-    def test_rejects_non_finite_or_non_vector_input(self, mu, b, name):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+    def test_rejects_non_finite_or_non_vector_input(self, mu, b, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             sphere_max(mu, b)
 
 

@@ -459,6 +459,20 @@ class TestSemitrivialLevel:
             if lowest in subset:
                 assert res.support == (lowest,)
 
+    def test_inclusion_guard_replaces_a_restricted_result(self):
+        # wide_system seed 2 pass 0, d3-N3-low, rounded: on this grid the
+        # (0, 1) solve settles on component 1 (level 17.874), above the
+        # single level of component 0 (17.820), so the guard swaps them
+        p = ParameterSet.make([1.078, 1.037, 1.069], [1.078, 1.055, 0.964], 0.352, N=3)
+        g = RadialGrid.make(3, default_radius(1.037), 200)
+        assert minimize_restricted(p, (0, 1), g).support == (1,)
+        single = minimize_restricted(p, (0,), g)
+        semi = semitrivial_level(p, g)
+        guarded = semi.results[(0, 1)]
+        assert guarded.support == (0,) and guarded.level == single.level
+        assert np.array_equal(guarded.fields.values, single.fields.values)
+        assert semi.best_subset == (0, 1)
+
 
 class TestGroundState:
     def test_full_support_beats_semitrivial_at_strong_coupling(self, grid):
