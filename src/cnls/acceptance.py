@@ -65,7 +65,7 @@ def criterion_01_single_equation_level():
 def criterion_02_symmetric_pair_threshold():
     """d=2 symmetric system: semitrivial at b=0.5, fully nontrivial at b=3,
     and the b=3 level equals 8/(3*(mu+b)) = 2/3 within 1e-3 relative."""
-    opts = PhaseOptions(grid_n=2000, grid_R=20.0)
+    opts = PhaseOptions(grid_n=2000)
     low = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.5, N=1), opts)
     high = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0, N=1), opts)
     target = 2.0 / 3.0

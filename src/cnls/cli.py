@@ -1,12 +1,16 @@
 """Command-line interface: solve, classify, sweep, reduce, thresholds, selftest.
 
 One JSON config file is the sole positional argument (sweeps are
-config-heavy, and a single artifact per run aids provenance).  A command
-takes only the flags it reads: `--output-dir` (solve, classify, sweep),
-`--workers` (sweep) and `--only` (selftest).  This module writes every
-output file: result.json and profiles.csv (solve), verdict.json (classify)
-and sweep.csv (sweep).  Each embeds the tool version, the solver seed and
-a hash of the effective config.
+config-heavy, and a single artifact per run aids provenance).  The config
+says what to compute: the parameters, the grid size `grid.n`, the sweep
+axes, the reduce group and the truncation check; the grid radius is always
+derived from the parameters.  The flags say where and how wide, and a
+command takes only the flags it reads: `--output-dir` (solve, classify,
+sweep; default the current directory), `--workers` (sweep; default 1) and
+`--only` (selftest).  This module writes every output file: result.json and
+profiles.csv (solve), verdict.json (classify) and sweep.csv (sweep).  Each
+embeds the tool version, the solver seed and a hash of the config as
+loaded, so no flag changes an output file.
 
 Exit codes: 0 success, 1 usage/validation error (a malformed command line
 included), 2 converged with warnings (e.g. a flagged non-converged solve;
@@ -24,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .functional import action
 from .grid import RadialGrid
-from .params import ParameterSet, as_float, as_int
+from .params import ParameterSet, as_int
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .phase import (
     PREDICATE_NAMES,
@@ -42,11 +46,9 @@ EXIT_USAGE = 1
 EXIT_WARNINGS = 2
 
 #: Every top-level key a run config may hold; any other key is an error.
-_CONFIG_KEYS = ("parameters", "grid", "workers", "sweep", "reduce", "output",
-               "check_truncation")
+_CONFIG_KEYS = ("parameters", "grid", "sweep", "reduce", "check_truncation")
 #: The config sections, which must be JSON objects, and the keys each may hold.
-_SECTIONS = {"grid": ("R", "n"), "sweep": ("axes",), "reduce": ("group",),
-             "output": ("dir",)}
+_SECTIONS = {"grid": ("n",), "sweep": ("axes",), "reduce": ("group",)}
 
 #: `cnls thresholds` row label and the words for a satisfied / failed
 #: condition, per predicate report.
@@ -93,32 +95,16 @@ def _load_config(path):
     ):
         raise ValueError('"sweep.axes" must be a list of {"path": string, "values": list}'
                          " objects with no other keys")
-    if not isinstance(config.get("output", {}).get("dir", "."), str):
-        raise ValueError('"output.dir" must be a string')
     if not isinstance(config.get("check_truncation", False), bool):
         raise ValueError('"check_truncation" must be true or false')
     return config
 
 
-def _effective_config(config, args):
-    eff = json.loads(json.dumps(config))  # deep copy, JSON-clean
-    if getattr(args, "output_dir", None) is not None:
-        eff.setdefault("output", {})["dir"] = args.output_dir
-    if getattr(args, "workers", None) is not None:
-        eff["workers"] = args.workers
-    return eff
-
-
-def _phase_options(config):
-    """The `PhaseOptions` of a config; an absent key keeps its default there."""
-    grid_cfg = config.get("grid", {})
-    kwargs = {}
-    if "n" in grid_cfg:
-        kwargs["grid_n"] = as_int(grid_cfg["n"], "grid.n")
-    if grid_cfg.get("R", "auto") not in (None, "auto"):
-        kwargs["grid_R"] = as_float(grid_cfg["R"], "grid.R")
-    if "workers" in config:
-        kwargs["workers"] = as_int(config["workers"], "workers")
+def _phase_options(config, **kwargs):
+    """The `PhaseOptions` of a config, with ``kwargs`` from the flags; an
+    absent `grid.n` keeps its default."""
+    if "n" in config.get("grid", {}):
+        kwargs["grid_n"] = as_int(config["grid"]["n"], "grid.n")
     return PhaseOptions(**kwargs)
 
 
@@ -131,8 +117,8 @@ def _meta(config):
     }
 
 
-def _outdir(config):
-    out = Path(config.get("output", {}).get("dir", "."))
+def _outdir(args):
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -179,12 +165,11 @@ def write_sweep_csv(path, points, axes, meta):
     _write_csv(path, meta, columns, map(row, points))
 
 
-def cmd_solve(config, p):
-    opts = _phase_options(config)
-    grid = build_grid(p, opts)
+def cmd_solve(config, p, args):
+    grid = build_grid(p, _phase_options(config))
     res = ground_state(p, grid)
     meta = _meta(config)
-    out = _outdir(config)
+    out = _outdir(args)
     payload = dict(meta)
     payload["result"] = res.to_json_dict()
     payload["action"] = action(res.fields, p).to_json_dict()
@@ -204,10 +189,9 @@ def cmd_solve(config, p):
     return EXIT_OK if res.converged else EXIT_WARNINGS
 
 
-def cmd_classify(config, p):
-    opts = _phase_options(config)
-    verdict = classify(p, opts)
-    out = _outdir(config)
+def cmd_classify(config, p, args):
+    verdict = classify(p, _phase_options(config))
+    out = _outdir(args)
     payload = dict(_meta(config))
     payload["classification"] = verdict.to_json_dict()
     payload["parameters"] = p.to_json_dict()
@@ -220,19 +204,19 @@ def cmd_classify(config, p):
     return EXIT_OK if verdict.diagnostics["solver_converged"] else EXIT_WARNINGS
 
 
-def cmd_sweep(config, p):
-    opts = _phase_options(config)
+def cmd_sweep(config, p, args):
+    opts = _phase_options(config, workers=args.workers)
     axes = [(a["path"], a["values"]) for a in config.get("sweep", {}).get("axes", [])]
     if not axes:
-        return cmd_classify(config, p)
+        return cmd_classify(config, p, args)
     points = sweep(p, axes, opts)
-    write_sweep_csv(_outdir(config) / "sweep.csv", points, axes, _meta(config))
+    write_sweep_csv(_outdir(args) / "sweep.csv", points, axes, _meta(config))
     flagged = sum(1 for pt in points if not pt.verdict.diagnostics["solver_converged"])
     print(f"swept {len(points)} points -> sweep.csv ({flagged} flagged)")
     return EXIT_OK if flagged == 0 else EXIT_WARNINGS
 
 
-def cmd_reduce(config, p):
+def cmd_reduce(config, p, args):
     group = config.get("reduce", {}).get("group")
     if not isinstance(group, list):
         raise ValueError('reduce needs config["reduce"]["group"] (a list of component indices)')
@@ -248,7 +232,7 @@ def cmd_reduce(config, p):
     return EXIT_OK
 
 
-def cmd_thresholds(config, p):
+def cmd_thresholds(config, p, args):
     preds = evaluate_predicates(p)
     tail = preds["lambda_tail"].info
     alpha = f"{tail['alpha']:.6g}" if "alpha" in tail else f"n/a ({tail['reason']})"
@@ -286,9 +270,11 @@ def cmd_selftest(args):
     return EXIT_OK if npass == len(results) else EXIT_USAGE
 
 
-#: The flags of the config commands; each overrides one config entry.
-_OUTPUT_DIR = ("--output-dir", {"help": 'override the output directory ("output.dir")'})
-_WORKERS = ("--workers", {"type": int, "help": 'override the worker count ("workers")'})
+#: The flags of the config commands; neither changes an output file.
+_OUTPUT_DIR = ("--output-dir", {"default": ".",
+                                "help": "directory for the output files (default: %(default)s)"})
+_WORKERS = ("--workers", {"type": int, "default": PhaseOptions.workers,
+                          "help": "sweep worker processes (default: %(default)s)"})
 
 #: The config commands: name -> (handler, help text, the flags it reads).
 _COMMANDS = {
@@ -308,8 +294,9 @@ def _build_parser():
         prog="cnls",
         description=(
             "Ground states of weakly coupled cubic Schrodinger systems. Every "
-            "command but selftest reads one JSON run config; solve, classify and "
-            "sweep write their output files into its output directory."
+            "command but selftest reads one JSON run config, which says what to "
+            "compute; solve, classify and sweep write their output files into "
+            "the output directory."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -332,9 +319,9 @@ def main(argv=None):
     try:
         if args.command == "selftest":
             return cmd_selftest(args)
-        config = _effective_config(_load_config(args.config), args)
+        config = _load_config(args.config)
         handler = _COMMANDS[args.command][0]
-        return handler(config, ParameterSet.from_json_dict(config["parameters"]))
+        return handler(config, ParameterSet.from_json_dict(config["parameters"]), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -66,17 +66,15 @@ WORKERS_CAP = 64
 
 @dataclass(frozen=True)
 class PhaseOptions:
-    """Grid and worker controls for classification runs."""
+    """Grid size and worker count of classification runs.  The radius is not
+    an option: `build_grid` always derives it as 20/sqrt(min lambda)."""
 
     grid_n: int = 2000
-    grid_R: float = None  # None -> 20/sqrt(min lambda)
     workers: int = 1
 
     def __post_init__(self):
         if as_int(self.grid_n, "grid_n") < 100:
             raise ValueError("grid_n must be >= 100")
-        if self.grid_R is not None and not 0 < as_float(self.grid_R, "grid_R") < math.inf:
-            raise ValueError(f"grid_R must be finite and > 0, got {self.grid_R}")
         if not 1 <= as_int(self.workers, "workers") <= WORKERS_CAP:
             raise ValueError(f"workers must be between 1 and {WORKERS_CAP}")
 
@@ -125,12 +123,13 @@ class PhaseVerdict:
         }
 
 
-def _radius(p: ParameterSet, opts: PhaseOptions) -> float:
-    return opts.grid_R if opts.grid_R is not None else default_radius(float(p.lam.min()))
+def _grid_key(p: ParameterSet, opts: PhaseOptions):
+    """(N, R, n) of the grid for ``p``: R = `default_radius` of min lambda."""
+    return p.N, default_radius(float(p.lam.min())), opts.grid_n
 
 
 def build_grid(p: ParameterSet, opts: PhaseOptions) -> RadialGrid:
-    return RadialGrid.make(p.N, _radius(p, opts), opts.grid_n)
+    return RadialGrid.make(*_grid_key(p, opts))
 
 
 def _report(name, numbers, unmet=None, satisfied=False):
@@ -310,7 +309,7 @@ def _restricted_key(p: ParameterSet, subset, opts: PhaseOptions):
     alone) and the support, since the result is embedded at the support's
     rows of ``p``."""
     sub = p.restrict(subset)
-    return (subset, (p.N, _radius(p, opts), opts.grid_n), sub.lam.tobytes(),
+    return (subset, _grid_key(p, opts), sub.lam.tobytes(),
             sub.mu.tobytes(), sub.b.tobytes())
 
 

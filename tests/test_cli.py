@@ -12,7 +12,7 @@ from cnls.grid import MultiField, RadialGrid
 
 SINGLE = {
     "parameters": {"d": 1, "N": 1, "lambda": [1.0], "mu": [1.0], "b": [[0.0]]},
-    "grid": {"R": 20.0, "n": 1200},
+    "grid": {"n": 1200},
 }
 
 PAIR = {
@@ -20,7 +20,7 @@ PAIR = {
         "d": 2, "N": 1, "lambda": [1.0, 1.0], "mu": [1.0, 1.0],
         "b": [[0.0, 3.0], [3.0, 0.0]],
     },
-    "grid": {"R": 20.0, "n": 800},
+    "grid": {"n": 800},
 }
 
 
@@ -85,38 +85,49 @@ def test_profiles_csv_writer(tmp_path):
     assert lines[2].split(",")[1] == "1.0"
 
 
+GRID_R_ERROR = "unknown \"grid\" key(s): ['R']"
+OUTPUT_ERROR = "unknown config key(s): ['output']"
+
 #: The error a malformed config must name, where one check alone could catch it.
 MALFORMED_ERRORS = {
     "invalid-json": "is not valid JSON",
     "non-object-config": "config must be a JSON object",
     "no-parameters": 'config needs a "parameters" object',
     "empty-axis-values": "axis 'b' has no values",
+    # a removed key is named, whatever its value
+    "string-R": GRID_R_ERROR, "nan-R": GRID_R_ERROR, "removed-grid-R": GRID_R_ERROR,
+    "string-output": OUTPUT_ERROR, "integer-output-dir": OUTPUT_ERROR,
+    "string-output-with-dir-flag": OUTPUT_ERROR, "unknown-output-key": OUTPUT_ERROR,
+    "removed-output": OUTPUT_ERROR,
+    "removed-workers": "unknown config key(s): ['workers']",
 }
 
 
 class TestSolve:
-    def test_happy_path(self, tmp_path, capsys):
-        cfg = dict(SINGLE)
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        code = main(["solve", write_config(tmp_path, cfg)])
+    def test_happy_path(self, tmp_path, capsys, monkeypatch):
+        # the output directory defaults to the current one
+        monkeypatch.chdir(tmp_path)
+        code = main(["solve", write_config(tmp_path, SINGLE)])
         out = capsys.readouterr().out
         assert code == 0
         assert "level=1.3333" in out
-        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        result = json.loads((tmp_path / "result.json").read_text())
         assert result["tool"] == "cnls"
+        assert result["config_sha256"] == cli._config_hash(SINGLE)
         assert result["result"]["support"] == [0]
+        # R = 20/sqrt(min lambda)
         assert result["result"]["grid"] == {"N": 1, "R": 20.0, "n": 1200}
-        profiles = (tmp_path / "out" / "profiles.csv").read_text().splitlines()
+        profiles = (tmp_path / "profiles.csv").read_text().splitlines()
         assert result["config_sha256"] in profiles[0]
         assert profiles[1] == "r,u1"
         assert len(profiles) == 2 + 1201
 
     def test_truncation_check(self, tmp_path, capsys):
         cfg = dict(SINGLE)
-        cfg["grid"] = {"R": 10.0, "n": 400}
+        cfg["grid"] = {"n": 400}
         cfg["check_truncation"] = True
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        assert main(["solve", write_config(tmp_path, cfg)]) == 0
+        assert main(["solve", write_config(tmp_path, cfg), "--output-dir",
+                     str(tmp_path / "out")]) == 0
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["truncation_check"]["level_drift"] < 1e-4
 
@@ -156,7 +167,7 @@ class TestSolve:
                                             "axis": []})),
         ("reduce", lambda c: c.update(parameters=PAIR["parameters"],
                                       reduce={"group": [0, 1], "groups": [[0, 1]]})),
-        ("solve", lambda c: c["output"].update(format="yaml")),
+        ("solve", lambda c: c.update(output={"format": "yaml"})),
         ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
             {"path": "b", "values": [0.5]}, {"path": "b", "values": [3.0]}]})),
         ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
@@ -171,6 +182,10 @@ class TestSolve:
         ("solve", lambda c: c.pop("parameters")),
         ("sweep", lambda c: c.update(parameters=PAIR["parameters"], sweep={"axes": [
             {"path": "b", "values": []}]})),
+        # the radius is derived, and the output directory and worker count are flags
+        ("solve", lambda c: c["grid"].update(R="auto")),
+        ("sweep", lambda c: c.update(workers=2)),
+        ("solve", lambda c: c.update(output={"dir": "out"})),
     ], ids=["no-b", "list-parameters", "string-R", "fractional-max_iterations",
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
@@ -179,11 +194,11 @@ class TestSolve:
             "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
             "unknown-reduce-key", "unknown-output-key", "repeated-axis-path",
             "unknown-axis-key", "nan-R", "workers-over-cap", "string-mu", "bool-b",
-            "invalid-json", "non-object-config", "no-parameters", "empty-axis-values"])
+            "invalid-json", "non-object-config", "no-parameters", "empty-axis-values",
+            "removed-grid-R", "removed-workers", "removed-output"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, monkeypatch, request, argv, edit):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
-        cfg["output"] = {"dir": "out"}
         text = edit(cfg)  # a string replaces the whole config file
         command, *flags = argv.split()
         path = write_config(tmp_path, text if isinstance(text, str) else cfg)
@@ -191,17 +206,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert MALFORMED_ERRORS.get(request.node.callspec.id, "") in err
-        assert not (tmp_path / "out").exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]  # nothing written
 
     def test_removed_solver_section_is_named(self, tmp_path, capsys, monkeypatch):
         # the iteration cap, random-start count and seed are solver constants
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(json.dumps(SINGLE))
         cfg["solver"] = {"max_iterations": 3000, "random_starts": 2, "seed": 12345}
-        cfg["output"] = {"dir": "out"}
         assert main(["solve", write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err == "error: unknown config key(s): ['solver']\n"
-        assert not (tmp_path / "out").exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
     def test_unknown_section_key_is_named(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SINGLE))
@@ -216,44 +230,41 @@ class TestSolve:
     def test_non_convergence_exit_2_with_result(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(solver, "RANDOM_STARTS", 0)
-        cfg = dict(SINGLE)
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        code = main(["solve", write_config(tmp_path, cfg)])
+        code = main(["solve", write_config(tmp_path, SINGLE), "--output-dir",
+                     str(tmp_path / "out")])
         assert code == 2
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["result"]["converged"] is False
 
-    def test_workers_override_changes_hash(self, tmp_path):
-        # sweep alone takes --workers; with no axes it writes verdict.json
-        cfg = dict(PAIR)
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        path = write_config(tmp_path, cfg)
-        hashes = []
-        for flags in ([], ["--workers", "2"]):
-            assert main(["sweep", path, *flags]) == 0
-            result = json.loads((tmp_path / "out" / "verdict.json").read_text())
-            hashes.append(result["config_sha256"])
-        assert hashes[0] != hashes[1]
-
 
 class TestClassify:
     def test_writes_verdict(self, tmp_path, capsys):
-        cfg = dict(PAIR)
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        code = main(["classify", write_config(tmp_path, cfg)])
+        code = main(["classify", write_config(tmp_path, PAIR), "--output-dir",
+                     str(tmp_path / "out")])
         assert code == 0
         assert "verdict=fully_nontrivial" in capsys.readouterr().out
         verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
         assert verdict["classification"]["verdict"] == "fully_nontrivial"
         assert "predicates" in verdict["classification"]
 
+    def test_output_dir_leaves_verdict_unchanged(self, tmp_path):
+        # config_sha256 hashes the config as loaded, never a flag
+        cfg = {**PAIR, "grid": {"n": 300}}
+        path = write_config(tmp_path, cfg)
+        blobs = []
+        for name in ("a", "b"):
+            assert main(["classify", path, "--output-dir", str(tmp_path / name)]) == 0
+            blobs.append((tmp_path / name / "verdict.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["config_sha256"] == cli._config_hash(cfg)
+
     def test_diagonal_of_b_is_ignored_and_echoed_as_zero(self, tmp_path, capsys):
         runs = []
         for name, diagonal in (("zero", [0.0, 0.0]), ("nonzero", [5.0, 7.0])):
             b = [[diagonal[0], 3.0], [3.0, diagonal[1]]]
-            cfg = {**PAIR, "parameters": {**PAIR["parameters"], "b": b},
-                   "output": {"dir": str(tmp_path / name)}}
-            assert main(["classify", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            cfg = {**PAIR, "parameters": {**PAIR["parameters"], "b": b}}
+            assert main(["classify", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--output-dir", str(tmp_path / name)]) == 0
             verdict = json.loads((tmp_path / name / "verdict.json").read_text())
             del verdict["config_sha256"]
             runs.append((capsys.readouterr().out, verdict))
@@ -263,26 +274,40 @@ class TestClassify:
 
 class TestSweep:
     def test_zero_axes_behaves_as_classify(self, tmp_path):
-        cfg = dict(PAIR)
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        assert main(["sweep", write_config(tmp_path, cfg)]) == 0
+        assert main(["sweep", write_config(tmp_path, PAIR), "--output-dir",
+                     str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "verdict.json").exists()
 
     def test_axis_sweep_writes_csv_deterministically(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(PAIR))
         cfg["grid"]["n"] = 500
         cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 3.0]}]}
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        path = write_config(tmp_path, cfg)
-        assert main(["sweep", path]) == 0
+        argv = ["sweep", write_config(tmp_path, cfg), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
         blob1 = (tmp_path / "out" / "sweep.csv").read_bytes()
-        assert main(["sweep", path]) == 0
+        assert main(argv) == 0
         blob2 = (tmp_path / "out" / "sweep.csv").read_bytes()
         assert blob1 == blob2
         lines = blob1.decode().splitlines()
         assert lines[1].startswith("b,full_level")
         assert len(lines) == 2 + 2
         assert lines[2].endswith("semitrivial,false,n/a,n/a,n/a,true")
+
+    def test_flags_leave_sweep_csv_unchanged(self, tmp_path):
+        # the flags say where and how wide, the config what: config_sha256
+        # hashes the config as loaded
+        cfg = json.loads(json.dumps(PAIR))
+        cfg["grid"]["n"] = 300
+        cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 3.0]}]}
+        path = write_config(tmp_path, cfg)
+        blobs = []
+        for workers, name in (("1", "a"), ("2", "b")):
+            assert main(["sweep", path, "--workers", workers,
+                         "--output-dir", str(tmp_path / name)]) == 0
+            blobs.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].startswith(f"# tool=cnls version={cli.__version__} "
+                                   f"config_sha256={cli._config_hash(cfg)} ".encode())
 
     def test_unconverged_restricted_solve_is_flagged(self, tmp_path, capsys, monkeypatch):
         real_classify = phase.classify
@@ -301,9 +326,8 @@ class TestSweep:
         cfg = json.loads(json.dumps(PAIR))
         cfg["grid"]["n"] = 500
         cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 3.0]}]}
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        cfg["workers"] = 1
-        assert main(["sweep", write_config(tmp_path, cfg)]) == 2
+        assert main(["sweep", write_config(tmp_path, cfg), "--output-dir",
+                     str(tmp_path / "out")]) == 2
         assert "(1 flagged)" in capsys.readouterr().out
 
     def test_unconverged_shared_restricted_solve_flags_every_point(
@@ -323,9 +347,8 @@ class TestSweep:
         cfg["parameters"]["lambda"] = [1.0, 1.5]
         cfg["grid"]["n"] = 300
         cfg["sweep"] = {"axes": [{"path": "b", "values": [0.5, 1.0, 3.0]}]}
-        cfg["output"] = {"dir": str(tmp_path / "out")}
-        cfg["workers"] = 1
-        assert main(["sweep", write_config(tmp_path, cfg)]) == 2
+        assert main(["sweep", write_config(tmp_path, cfg), "--output-dir",
+                     str(tmp_path / "out")]) == 2
         # each single-equation level is solved once and shared by all 3 points
         assert shared == [False, False]
         assert "(3 flagged)" in capsys.readouterr().out

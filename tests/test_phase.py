@@ -23,15 +23,13 @@ from cnls.phase import (
 
 SINGLE_LEVEL = 4.0 / 3.0
 
-FAST = PhaseOptions(grid_n=600, grid_R=20.0)
+FAST = PhaseOptions(grid_n=600)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [{"grid_n": 150.7}, {"grid_n": True}, {"grid_n": "400"},
-     {"workers": 1.5}, {"workers": True}, {"workers": "2"},
-     {"grid_R": True}, {"grid_R": "20"},
-     {"grid_R": float("nan")}, {"grid_R": float("inf")}, {"grid_n": 99}],
+     {"workers": 1.5}, {"workers": True}, {"workers": "2"}, {"grid_n": 99}],
     ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
 )
 def test_phase_options_reject_mistyped_fields(kwargs):
@@ -121,7 +119,7 @@ class TestClassify:
     def test_non_convergence_yields_inconclusive(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(solver, "RANDOM_STARTS", 0)
-        opts = PhaseOptions(grid_n=600, grid_R=20.0)
+        opts = PhaseOptions(grid_n=600)
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), opts)
         assert v.verdict == INCONCLUSIVE
         assert not v.diagnostics["solver_converged"]
@@ -283,7 +281,7 @@ class TestSweep:
 
     def test_two_axes_row_major(self):
         base = ParameterSet.make([1.0, 1.0, 1.5], [1.0] * 3, 2.0)
-        opts = PhaseOptions(grid_n=400, grid_R=20.0)
+        opts = PhaseOptions(grid_n=400)
         points = sweep(base, [("b", [2.0, 3.0]), ("lambda[2]", [1.5, 2.0])], opts)
         assert len(points) == 4
         assert [pt.values["b"] for pt in points] == [2.0, 2.0, 3.0, 3.0]
@@ -323,8 +321,8 @@ class TestSweep:
     def test_worker_pool_matches_sequential(self):
         base = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0)
         axes = [("b", [0.5, 3.0])]
-        opts = PhaseOptions(grid_n=400, grid_R=20.0)
-        popts = PhaseOptions(grid_n=400, grid_R=20.0, workers=2)
+        opts = PhaseOptions(grid_n=400)
+        popts = PhaseOptions(grid_n=400, workers=2)
         seq = sweep(base, axes, opts)
         par = sweep(base, axes, popts)
         assert [pt.verdict.verdict for pt in seq] == [pt.verdict.verdict for pt in par]
@@ -362,16 +360,12 @@ class TestSweepSharesRestrictedSolves:
         assert sorted(restricted_calls) == [(0,), (1,)]
 
     def test_changed_grid_is_a_different_problem(self, restricted_calls):
-        # R = 20/sqrt(lambda_min) follows lambda[2] < 1: nothing is shared
+        # R = 20/sqrt(lambda_min) follows lambda[2] < 1, so even the support
+        # (0, 1), which does not see lambda[2], is a new problem at each point
         base = ParameterSet.make([1.0, 1.0, 1.5], [1.0] * 3, 2.0)
         axes = [("lambda[2]", [0.6, 0.7, 0.8])]
         sweep(base, axes, PhaseOptions(grid_n=200))
         assert len(restricted_calls) == 9
-        # on a fixed radius the support (0, 1) does not see lambda[2]
-        restricted_calls.clear()
-        sweep(base, axes, PhaseOptions(grid_n=200, grid_R=20.0))
-        assert len(restricted_calls) == 7
-        assert restricted_calls.count((0, 1)) == 1
 
     @pytest.mark.parametrize("case", [PAIR_B_SWEEP, TRIPLE_TWO_AXES], ids=["pair-b", "triple-2axes"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -395,7 +389,7 @@ class TestSweepSharesRestrictedSolves:
 
     def test_result_from_another_grid_is_rejected(self):
         p = ParameterSet.make([1.0, 1.5], [1.0, 1.0], 1.0, N=2)
-        other = build_grid(p, PhaseOptions(grid_n=300, grid_R=15.0))
+        other = build_grid(p, PhaseOptions(grid_n=400))
         res = solver.minimize_restricted(p, (0,), other)
         with pytest.raises(ValueError, match="another grid"):
             classify(p, PhaseOptions(grid_n=300), {(0,): res})
