@@ -8,11 +8,21 @@ and embeds the minimizer with zero rows outside I.
 The minimization runs on the constraint surface tau(u) = 0, which is free
 to enforce because the rescaling is closed form: every iterate is projected
 back by `functional.nehari_raw`, the one Nehari projection (`nehari_scale`,
-`action_on_nehari` and `amplitude_step` are built on it).  Descent uses the
-H^1 (Sobolev) gradient, i.e. the raw gradient preconditioned by (-Laplace +
-lambda_i)^{-1} per component (one LAPACK dpttrs solve per iteration on the
-stack of the d tridiagonal blocks, factored once per descent), with Armijo
-backtracking on the scale-invariant merit action_on_nehari.  Iterates are clamped
+`action_on_nehari` and `amplitude_step` are built on it).  Descent
+directions are L-BFGS directions in the H^1 (Sobolev) metric: the two-loop
+recursion over the last LBFGS_MEMORY pairs (s, y), with s the change of the
+iterate and y the change of the weighted gradient on the free nodes, and
+with (-Laplace + lambda_i)^{-1} per component as the initial inverse
+Hessian (one LAPACK dpttrs solve per iteration on the stack of the d
+tridiagonal blocks, factored once per multistart).  On the Nehari set the
+Hessian in that metric is the identity plus a compact part, so a few pairs
+capture it.  A pair is stored only when s.y > 0 (relative to |s| |y|); the
+memory is cleared when the amplitude step switches a component off and
+when a direction fails to descend, and with no pair stored the direction
+is the H^1 gradient.  Armijo backtracking runs on the scale-invariant merit
+action_on_nehari, and a trial is accepted only when it lowers the merit:
+where the merit cannot resolve the Armijo decrease any more, backtracking
+fails and the descent ends at that roundoff floor.  Iterates are clamped
 nonnegative: ground states have signed components, and fixing the positive
 representative removes sign oscillation.
 
@@ -40,6 +50,7 @@ positive definite, and each such slot proves that u is not the ground state.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,6 +95,14 @@ MAX_ITERATIONS = 3000
 #: relative amount: a component it zeroes never comes back (its gradient is
 #: 0), so a gain at roundoff level must not decide the support.
 AMPLITUDE_MIN_DROP = 1e-12
+
+#: L-BFGS memory: the number of stored (s, y) pairs that shape each descent
+#: direction.  With no pairs stored the direction is the H^1 gradient.
+LBFGS_MEMORY = 5
+
+#: A pair (s, y) is stored only when s.y exceeds this fraction of |s| |y|,
+#: which keeps the L-BFGS inverse Hessian positive definite.
+CURVATURE_MIN = 1e-10
 
 #: Seeded random starts per multistart, on top of the deterministic ones,
 #: and the seed they are drawn from.
@@ -156,21 +175,80 @@ def _random_start(p: ParameterSet, grid: RadialGrid, rng):
     return u
 
 
+def _dot(a, b):
+    """Sum of a * b over two (d, n) arrays by numpy's own loop.  Above about
+    10^4 entries a BLAS dot hands its work to the BLAS worker threads, and
+    waking them between the other calls of an iteration costs more than
+    the dot (`wide_system` ran at 3.8 points/s with BLAS dots here, 4.6
+    with this loop, on 2 cores with threaded OpenBLAS)."""
+    return float(np.einsum("ij,ij->", a, b))
+
+
+class _Pairs:
+    """The L-BFGS memory of a descent: ring buffers of LBFGS_MEMORY + 1
+    pairs (s, y) on the free nodes, overwritten in place.  The slot that no
+    stored pair uses holds the last accepted point and its weighted
+    gradient until the next point turns them into a pair."""
+
+    def __init__(self, d, n):
+        shape = (LBFGS_MEMORY + 1, d, n)
+        self.S, self.Y, self.rho = np.empty(shape), np.empty(shape), np.empty(shape[0])
+        self.work, self.scaled = np.empty((d, n)), np.empty((d, n))
+        self.stored = deque()  # slots of the stored pairs, oldest first
+        self.held = None  # slot of the held point
+
+    def clear(self):
+        """Forget every pair and the held point."""
+        self.stored.clear()
+        self.held = None
+
+    def hold(self, u, rhs):
+        """Hold the free nodes of ``u`` and its weighted gradient ``rhs``."""
+        slot = next(j for j in range(len(self.S)) if j not in self.stored)
+        np.copyto(self.S[slot], u[:, :self.work.shape[1]])
+        np.copyto(self.Y[slot], rhs)
+        self.held = slot
+
+    def add(self, u, rhs):
+        """Turn the held point into the pair s = u - u_held, y = rhs -
+        rhs_held, and store it when s.y > CURVATURE_MIN |s| |y|, dropping
+        the oldest pair beyond LBFGS_MEMORY."""
+        slot, self.held = self.held, None
+        if slot is None:
+            return
+        s = np.subtract(u[:, :self.work.shape[1]], self.S[slot], out=self.S[slot])
+        y = np.subtract(rhs, self.Y[slot], out=self.Y[slot])
+        sy = _dot(s, y)
+        if sy > CURVATURE_MIN * np.sqrt(_dot(s, s) * _dot(y, y)):
+            self.rho[slot] = 1.0 / sy
+            self.stored.append(slot)
+            if len(self.stored) > LBFGS_MEMORY:
+                self.stored.popleft()
+
+
 class _Descent:
-    """Shared machinery for descents at fixed (parameters, grid)."""
+    """Shared machinery for the descents of one multistart at fixed
+    (parameters, grid): the preconditioner is factored once and the L-BFGS
+    ring buffers are allocated once, for all starts."""
 
     def __init__(self, p: ParameterSet, grid: RadialGrid):
         self.p = p
         self.grid = grid
         self._ldl = None
         self._rhs = None
+        self._pairs = _Pairs(p.d, grid.n)
 
-    def _precondition(self, rhs, out):
-        """Write (-Laplace + lambda_i)^{-1} grad_i into out[i, :n] with one
-        dpttrs solve on the block-diagonal stack, where ``rhs`` is the
-        weighted gradient from `_weigh`; return <grad, out>_w.  The LDL^T
-        factors come from a banded Cholesky A = U^T U per block: D =
-        diag(U)^2, E = superdiag(U) / diag(U)[:-1], and E = 0 at block joins."""
+    def _direction(self, rhs, out):
+        """Write the L-BFGS direction H rhs into out[:, :n] and return
+        <rhs, H rhs>, where ``rhs`` is the weighted gradient from `_weigh`.
+
+        The two-loop recursion (Nocedal, Math. Comp. 35 (1980)) runs over
+        the stored pairs with the H^1 preconditioner (-Laplace +
+        lambda_i)^{-1} as initial inverse Hessian: one dpttrs solve on the
+        block-diagonal stack.  With no pair stored, H rhs is the H^1
+        gradient.  The LDL^T factors come from a banded Cholesky A = U^T U
+        per block: D = diag(U)^2, E = superdiag(U) / diag(U)[:-1], and E = 0
+        at block joins."""
         g, d, n = self.grid, self.p.d, self.grid.n
         if self._ldl is None:
             D, E = np.empty((d, n)), np.zeros((d, n))
@@ -180,10 +258,21 @@ class _Descent:
                 D[i] = U[1] ** 2
                 E[i, :-1] = U[0, 1:] / U[1, :-1]
             self._ldl = D.ravel(), E.ravel()[:-1]
-        x, info = dpttrs(*self._ldl, rhs.ravel())
+        pairs = self._pairs
+        S, Y, rho, x, scaled = pairs.S, pairs.Y, pairs.rho, pairs.work, pairs.scaled
+        np.copyto(x, rhs)
+        coef = []
+        for j in reversed(pairs.stored):
+            a = rho[j] * _dot(S[j], x)
+            x -= np.multiply(Y[j], a, out=scaled)
+            coef.append(a)
+        x, info = dpttrs(*self._ldl, x.ravel(), overwrite_b=1)
         if info != 0:
             raise ValueError(f"dpttrs failed (info={info})")
-        out[:, :n] = x.reshape(d, n)
+        x = x.reshape(d, n)
+        for j, a in zip(pairs.stored, reversed(coef)):
+            x += np.multiply(S[j], a - rho[j] * _dot(Y[j], x), out=scaled)
+        out[:, :n] = x
         return float(np.vdot(rhs, x))
 
     def _parts(self, values):
@@ -210,9 +299,14 @@ class _Descent:
         return gnorm <= factor * GRAD_TOL * max(1.0, 4.0 * level)
 
     def run(self, u0):
-        """Projected, preconditioned descent from u0 (clamped nonnegative,
-        zero at the outer node), with the amplitude step after every
-        accepted Armijo step.
+        """Projected L-BFGS descent from u0 (clamped nonnegative, zero at
+        the outer node), with the amplitude step after every accepted Armijo
+        step.
+
+        The memory starts empty.  It is cleared when the amplitude step
+        switches a component off, since its pairs describe the level on the
+        support that was left, and when a direction is not a descent
+        direction; that iteration then moves along the H^1 gradient.
 
         Returns (values, iterations, grad_norm, converged) or None when the
         start cannot be projected onto the constraint set.
@@ -225,6 +319,8 @@ class _Descent:
             return None
         t, phi = proj
         u *= t
+        pairs = self._pairs
+        pairs.clear()
         step = INITIAL_STEP
         converged = False  # the loop runs at least once (MAX_ITERATIONS >= 1)
         direction = np.zeros_like(u)
@@ -239,14 +335,19 @@ class _Descent:
             if self.passes(gnorm, phi):
                 converged = True
                 break
-            decrement = self._precondition(rhs, direction)
+            pairs.add(u, rhs)
+            decrement = self._direction(rhs, direction)
+            if not decrement > 0.0:
+                pairs.clear()
+                decrement = self._direction(rhs, direction)
             alpha = step
             accepted = False
             while alpha > 1e-16:
                 cand = np.maximum(u - alpha * direction, 0.0)
                 cand[:, -1] = 0.0
                 q, M, proj = self._parts(cand)
-                if proj is not None and proj[1] <= phi - ARMIJO_C * alpha * decrement:
+                if proj is not None and proj[1] < phi - ARMIJO_C * alpha * decrement:
+                    pairs.hold(u, rhs)
                     t, phi = proj
                     amp = amplitude_step(q, M, phi)
                     if amp is None:
@@ -254,6 +355,8 @@ class _Descent:
                     else:
                         s, phi = amp
                         u = s[:, None] * cand
+                        if np.count_nonzero(s) < np.count_nonzero(q):
+                            pairs.clear()  # a component was switched off
                     accepted = True
                     break
                 alpha *= BACKTRACK_FACTOR

@@ -48,7 +48,7 @@ def test_phase_options_cap_the_worker_pool():
 class TestClassify:
     def test_armijo_backtracking_keeps_a_wide_range_draw_converged(self, monkeypatch):
         # a wide-range draw whose descents backtrack; ending a descent at its
-        # first failed trial leaves the full solve unconverged
+        # first failed trial leaves restricted solves unconverged
         p = ParameterSet.from_json_dict({
             "d": 5, "N": 3, "lambda": [1.0, 1.7, 0.365, 0.665, 2.5],
             "mu": [0.00553, 4.51, 0.0552, 0.298, 0.0258],
@@ -60,7 +60,34 @@ class TestClassify:
         assert v.verdict == SEMITRIVIAL and v.diagnostics["solver_converged"]
         monkeypatch.setattr(solver, "BACKTRACK_FACTOR", 1e-300)
         v = classify(p, opts)
-        assert v.verdict == INCONCLUSIVE and not v.diagnostics["full"]["converged"]
+        assert v.verdict == INCONCLUSIVE and not v.diagnostics["solver_converged"]
+
+    @pytest.mark.parametrize("p", [
+        ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.01, N=1),
+        ParameterSet.make([1.2, 1.14, 1.13], [0.98, 0.93, 1.04], 2.97, N=3),
+        ParameterSet.make([1.01, 1.11, 1.09, 1.01], [1.03, 1.07, 1.02, 0.95], 0.32, N=2),
+    ], ids=["threshold-pair", "d3-N3-high", "d4-N2-low"])
+    def test_lbfgs_memory_changes_the_path_not_the_answer(self, monkeypatch, p):
+        # with no stored pair every direction is the H^1 gradient
+        iterations = []
+        run = solver._Descent.run
+
+        def counted(self, u0):
+            out = run(self, u0)
+            iterations[-1] += out[1]
+            return out
+
+        monkeypatch.setattr(solver._Descent, "run", counted)
+        verdicts = []
+        for memory in (0, solver.LBFGS_MEMORY):
+            monkeypatch.setattr(solver, "LBFGS_MEMORY", memory)
+            iterations.append(0)
+            verdicts.append(classify(p, PhaseOptions(grid_n=300)))
+        plain, lbfgs = verdicts
+        assert (lbfgs.verdict, lbfgs.full_support) == (plain.verdict, plain.full_support)
+        for level in ("numeric_full_level", "numeric_semitrivial_level"):
+            assert getattr(lbfgs, level) == pytest.approx(getattr(plain, level), rel=1e-10)
+        assert iterations[1] < iterations[0]
 
     def test_strong_coupling_pair_is_fully_nontrivial(self):
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), FAST)

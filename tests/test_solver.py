@@ -11,10 +11,12 @@ from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, operator_t
 from cnls.params import ParameterSet
 from cnls.solver import (
     LEVEL_TIE_TOL,
+    SEED,
     SEMITRIVIAL_EPS,
     THETA_TRIV,
     _Descent,
     _multistart,
+    _random_start,
     amplitude_step,
     ground_state,
     minimize_restricted,
@@ -115,7 +117,7 @@ class TestDescent:
         out = np.zeros_like(grad)
         rhs, gnorm = desc._weigh(grad)
         assert gnorm == pytest.approx(np.sqrt(np.sum((grad * grad) @ g.weights)), rel=1e-13)
-        decrement = desc._precondition(rhs, out)
+        decrement = desc._direction(rhs, out)
         c, n = g.conductance, g.n
         ref_decrement = 0.0
         for i in range(3):
@@ -129,6 +131,28 @@ class TestDescent:
             assert out[i, n] == 0.0
             ref_decrement += float(np.dot(g.weights[:n] * grad[i, :n], ref))
         assert decrement == pytest.approx(ref_decrement, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [400, 600])
+    def test_memory_is_cleared_when_a_component_switches_off(self, n):
+        # below the switch-on coupling the amplitude step zeroes component 1
+        # of the full soliton start; pairs kept across that step took 19
+        # iterations at n=400, and at n=600 the descent ended unconverged
+        g = RadialGrid.make(1, 20.0, n)
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.99, N=1)
+        desc = _Descent(p, g)
+        values, iterations, _, converged = desc.run(np.array([soliton_profile(g, 1.0, 1.0)] * 2))
+        assert converged and iterations <= 10
+        assert desc.finalize(values)[2] == (0,)
+
+    def test_a_step_that_does_not_lower_the_level_is_refused(self):
+        # this start reaches the roundoff floor of the merit with its gradient
+        # just above GRAD_TOL; accepting trials at an equal level let it
+        # wander for all 3000 iterations instead of ending at the floor
+        g = RadialGrid.make(1, 20.0, 2000)
+        p = ParameterSet.make([1.0], [1.0], 0.0)
+        start = _random_start(p, g, np.random.default_rng([SEED, 0]))
+        _, iterations, _, converged = _Descent(p, g).run(start)
+        assert converged and iterations <= 50
 
     def test_non_finite_gradient_raises(self, grid, monkeypatch):
         monkeypatch.setattr(cnls.solver, "gradient_raw",
