@@ -16,15 +16,20 @@ with (-Laplace + lambda_i)^{-1} per component as the initial inverse
 Hessian (one LAPACK dpttrs solve per iteration on the stack of the d
 tridiagonal blocks, factored once per multistart).  On the Nehari set the
 Hessian in that metric is the identity plus a compact part, so a few pairs
-capture it.  A pair is stored only when s.y > 0 (relative to |s| |y|); the
-memory is cleared when the amplitude step switches a component off and
-when a direction fails to descend, and with no pair stored the direction
-is the H^1 gradient.  Armijo backtracking runs on the scale-invariant merit
-action_on_nehari, and a trial is accepted only when it lowers the merit:
-where the merit cannot resolve the Armijo decrease any more, backtracking
-fails and the descent ends at that roundoff floor.  Iterates are clamped
-nonnegative: ground states have signed components, and fixing the positive
-representative removes sign oscillation.
+capture it.  A pair is computed straight into a spare ring slot from the
+previous point and gradient, which the descent keeps in alternating
+buffers, and is stored only when s.y > 0 (relative to |s| |y|); the memory
+is cleared when the amplitude step switches a component off and when a
+direction fails to descend, and with no pair stored the direction is the
+H^1 gradient.  Armijo backtracking runs on the scale-invariant merit
+action_on_nehari, and a trial is accepted only when it lowers the merit.
+Backtracking stops once the predicted decrease is below one ulp of the
+level: a trial accepted there would be accepted by rounding noise, so the
+descent ends at that roundoff floor.  Each trial is built in place in a
+buffer of the descent, and an accepted trial becomes the iterate without a
+copy.  Iterates are clamped nonnegative: ground states have signed
+components, and fixing the positive representative removes sign
+oscillation.
 
 After each accepted Armijo step the descent takes an exact step in the
 component amplitudes (`amplitude_step`).  With the action parts (q, M) of
@@ -176,9 +181,11 @@ def _random_start(p: ParameterSet, grid: RadialGrid, rng):
 
 
 def _dot(a, b):
-    """Sum of a * b over two (d, n) arrays by numpy's own loop.  Above about
-    10^4 entries a BLAS dot hands its work to the BLAS worker threads, and
-    waking them between the other calls of an iteration costs more than
+    """Sum of a * b over two (d, n) arrays by numpy's own loop; every dot of
+    the descent goes through it (the pair curvature, the two-loop
+    coefficients, the decrement <rhs, H rhs> and the gradient norm).  Above
+    about 10^4 entries a BLAS dot hands its work to the BLAS worker threads,
+    and waking them between the other calls of an iteration costs more than
     the dot (`wide_system` ran at 3.8 points/s with BLAS dots here, 4.6
     with this loop, on 2 cores with threaded OpenBLAS)."""
     return float(np.einsum("ij,ij->", a, b))
@@ -186,38 +193,28 @@ def _dot(a, b):
 
 class _Pairs:
     """The L-BFGS memory of a descent: ring buffers of LBFGS_MEMORY + 1
-    pairs (s, y) on the free nodes, overwritten in place.  The slot that no
-    stored pair uses holds the last accepted point and its weighted
-    gradient until the next point turns them into a pair."""
+    pairs (s, y) on the free nodes, overwritten in place.  A new pair is
+    computed straight into the slot that no stored pair uses, so a pair
+    that fails the curvature test leaves the stored pairs untouched."""
 
     def __init__(self, d, n):
         shape = (LBFGS_MEMORY + 1, d, n)
         self.S, self.Y, self.rho = np.empty(shape), np.empty(shape), np.empty(shape[0])
         self.work, self.scaled = np.empty((d, n)), np.empty((d, n))
         self.stored = deque()  # slots of the stored pairs, oldest first
-        self.held = None  # slot of the held point
 
     def clear(self):
-        """Forget every pair and the held point."""
+        """Forget every pair."""
         self.stored.clear()
-        self.held = None
 
-    def hold(self, u, rhs):
-        """Hold the free nodes of ``u`` and its weighted gradient ``rhs``."""
+    def add(self, u, u_old, rhs, rhs_old):
+        """Write the pair s = u - u_old (free nodes), y = rhs - rhs_old into
+        the spare slot and store it when s.y > CURVATURE_MIN |s| |y|,
+        dropping the oldest pair beyond LBFGS_MEMORY."""
         slot = next(j for j in range(len(self.S)) if j not in self.stored)
-        np.copyto(self.S[slot], u[:, :self.work.shape[1]])
-        np.copyto(self.Y[slot], rhs)
-        self.held = slot
-
-    def add(self, u, rhs):
-        """Turn the held point into the pair s = u - u_held, y = rhs -
-        rhs_held, and store it when s.y > CURVATURE_MIN |s| |y|, dropping
-        the oldest pair beyond LBFGS_MEMORY."""
-        slot, self.held = self.held, None
-        if slot is None:
-            return
-        s = np.subtract(u[:, :self.work.shape[1]], self.S[slot], out=self.S[slot])
-        y = np.subtract(rhs, self.Y[slot], out=self.Y[slot])
+        n = self.work.shape[1]
+        s = np.subtract(u[:, :n], u_old[:, :n], out=self.S[slot])
+        y = np.subtract(rhs, rhs_old, out=self.Y[slot])
         sy = _dot(s, y)
         if sy > CURVATURE_MIN * np.sqrt(_dot(s, s) * _dot(y, y)):
             self.rho[slot] = 1.0 / sy
@@ -228,14 +225,15 @@ class _Pairs:
 
 class _Descent:
     """Shared machinery for the descents of one multistart at fixed
-    (parameters, grid): the preconditioner is factored once and the L-BFGS
-    ring buffers are allocated once, for all starts."""
+    (parameters, grid): the preconditioner is factored once, and the L-BFGS
+    ring buffers and the two weighted-gradient buffers are allocated once,
+    for all starts."""
 
     def __init__(self, p: ParameterSet, grid: RadialGrid):
         self.p = p
         self.grid = grid
         self._ldl = None
-        self._rhs = None
+        self._rhs = [np.empty((p.d, grid.n)) for _ in range(2)]
         self._pairs = _Pairs(p.d, grid.n)
 
     def _direction(self, rhs, out):
@@ -273,7 +271,7 @@ class _Descent:
         for j, a in zip(pairs.stored, reversed(coef)):
             x += np.multiply(S[j], a - rho[j] * _dot(Y[j], x), out=scaled)
         out[:, :n] = x
-        return float(np.vdot(rhs, x))
+        return _dot(rhs, x)
 
     def _parts(self, values):
         """(q, M) of `action_parts_raw` at values and their Nehari
@@ -284,13 +282,12 @@ class _Descent:
     def _weigh(self, grad):
         """(weights * grad on the free nodes, weighted norm of grad): one
         pass gives both, since grad vanishes at the Dirichlet node.  The
-        first array is a buffer that the next call overwrites."""
-        n = self.grid.n
-        free = grad[:, :n]
-        if self._rhs is None:
-            self._rhs = np.empty(free.shape)
-        rhs = np.multiply(self.grid.weights[:n], free, out=self._rhs)
-        return rhs, float(np.sqrt(np.einsum("ij,ij->", rhs, free)))
+        first array is one of two buffers that the calls take in turn, so
+        it survives the next call and is overwritten by the one after."""
+        self._rhs.reverse()
+        free = grad[:, :self.grid.n]
+        rhs = np.multiply(self.grid.weights[:self.grid.n], free, out=self._rhs[0])
+        return rhs, float(np.sqrt(_dot(rhs, free)))
 
     @staticmethod
     def passes(gnorm, level, factor=1.0):
@@ -303,10 +300,19 @@ class _Descent:
         the outer node), with the amplitude step after every accepted Armijo
         step.
 
-        The memory starts empty.  It is cleared when the amplitude step
-        switches a component off, since its pairs describe the level on the
-        support that was left, and when a direction is not a descent
-        direction; that iteration then moves along the H^1 gradient.
+        The memory starts empty.  After each accepted step the next
+        iteration writes the pair of the two points and their weighted
+        gradients into it; no pair is made for a step on which the
+        amplitude step switches a component off.  The memory is cleared at
+        that step, since its pairs describe the level on the support that
+        was left, and when a direction is not a descent direction; that
+        iteration then moves along the H^1 gradient.
+
+        Backtracking stops once the predicted decrease alpha * <rhs, H rhs>
+        is below one ulp of the level, and at alpha = 1e-16 at the latest.
+        A descent that finds no lower trial ends there, at the roundoff
+        floor of the merit.  The iterate, the previous iterate and the trial
+        live in three buffers that swap roles by reference.
 
         Returns (values, iterations, grad_norm, converged) or None when the
         start cannot be projected onto the constraint set.
@@ -319,11 +325,13 @@ class _Descent:
             return None
         t, phi = proj
         u *= t
+        eps = np.finfo(float).eps
         pairs = self._pairs
         pairs.clear()
+        u_old, cand, direction = np.empty_like(u), np.empty_like(u), np.zeros_like(u)
+        rhs_old = None  # the weighted gradient at u_old, when a pair is due
         step = INITIAL_STEP
         converged = False  # the loop runs at least once (MAX_ITERATIONS >= 1)
-        direction = np.zeros_like(u)
         for iterations in range(1, MAX_ITERATIONS + 1):
             # keep grad referenced through the line search: releasing it
             # here made the allocator return and re-fault its pages (10x the
@@ -335,32 +343,35 @@ class _Descent:
             if self.passes(gnorm, phi):
                 converged = True
                 break
-            pairs.add(u, rhs)
+            if rhs_old is not None:
+                pairs.add(u, u_old, rhs, rhs_old)
             decrement = self._direction(rhs, direction)
             if not decrement > 0.0:
                 pairs.clear()
                 decrement = self._direction(rhs, direction)
             alpha = step
-            accepted = False
-            while alpha > 1e-16:
-                cand = np.maximum(u - alpha * direction, 0.0)
+            while alpha > 1e-16 and alpha * decrement > eps * phi:
+                np.multiply(direction, alpha, out=cand)
+                np.subtract(u, cand, out=cand)
+                np.maximum(cand, 0.0, out=cand)
                 cand[:, -1] = 0.0
                 q, M, proj = self._parts(cand)
                 if proj is not None and proj[1] < phi - ARMIJO_C * alpha * decrement:
-                    pairs.hold(u, rhs)
                     t, phi = proj
                     amp = amplitude_step(q, M, phi)
+                    rhs_old = rhs
                     if amp is None:
-                        u = t * cand
+                        cand *= t
                     else:
                         s, phi = amp
-                        u = s[:, None] * cand
+                        cand *= s[:, None]
                         if np.count_nonzero(s) < np.count_nonzero(q):
                             pairs.clear()  # a component was switched off
-                    accepted = True
+                            rhs_old = None
+                    u_old, u, cand = u, cand, u_old
                     break
                 alpha *= BACKTRACK_FACTOR
-            if not accepted:
+            else:
                 # backtracking hit the roundoff floor of the merit function;
                 # count it as converged when the gradient is within a small
                 # factor of the tolerance (value error scales as gnorm^2)

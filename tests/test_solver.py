@@ -10,11 +10,15 @@ from cnls.functional import action, action_parts_raw
 from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, operator_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
+    CURVATURE_MIN,
+    LBFGS_MEMORY,
     LEVEL_TIE_TOL,
     SEED,
     SEMITRIVIAL_EPS,
     THETA_TRIV,
     _Descent,
+    _Pairs,
+    _dot,
     _multistart,
     _random_start,
     amplitude_step,
@@ -144,15 +148,53 @@ class TestDescent:
         assert converged and iterations <= 10
         assert desc.finalize(values)[2] == (0,)
 
-    def test_a_step_that_does_not_lower_the_level_is_refused(self):
+    @staticmethod
+    def floor_start():
         # this start reaches the roundoff floor of the merit with its gradient
-        # just above GRAD_TOL; accepting trials at an equal level let it
-        # wander for all 3000 iterations instead of ending at the floor
+        # just above GRAD_TOL
         g = RadialGrid.make(1, 20.0, 2000)
         p = ParameterSet.make([1.0], [1.0], 0.0)
-        start = _random_start(p, g, np.random.default_rng([SEED, 0]))
+        return g, p, _random_start(p, g, np.random.default_rng([SEED, 0]))
+
+    def test_a_step_that_does_not_lower_the_level_is_refused(self):
+        # accepting trials at an equal level let the floor start wander for
+        # all 3000 iterations instead of ending at the floor
+        g, p, start = self.floor_start()
         _, iterations, _, converged = _Descent(p, g).run(start)
         assert converged and iterations <= 50
+
+    def test_backtracking_stops_at_the_resolution_of_the_level(self, monkeypatch):
+        # halving alpha down to 1e-16 at the floor took 65 action-parts
+        # evaluations for 10 iterations; below one ulp of the level a trial
+        # is decided by rounding, so at most two trials remain there
+        g, p, start = self.floor_start()
+        calls = []
+        parts = _Descent._parts
+        monkeypatch.setattr(_Descent, "_parts",
+                            lambda self, values: calls.append(1) or parts(self, values))
+        _, iterations, _, converged = _Descent(p, g).run(start)
+        assert converged and len(calls) <= iterations + 2
+
+    def test_the_weighted_gradient_survives_the_next_weighing(self):
+        # the pair update reads the previous weighted gradient after the
+        # next one is computed
+        g = RadialGrid.make(1, 20.0, 100)
+        desc = _Descent(ParameterSet.make([1.0, 2.0], [1.0, 1.0], 1.0), g)
+        rng = np.random.default_rng(3)
+        first, second = rng.standard_normal((2, 2, g.n + 1))
+        rhs = desc._weigh(first)[0]
+        kept = rhs.copy()
+        assert desc._weigh(second)[0] is not rhs
+        assert np.array_equal(rhs, kept)
+
+    def test_a_later_start_leaves_the_returned_values_alone(self):
+        g = RadialGrid.make(1, 20.0, 300)
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
+        desc = _Descent(p, g)
+        values = desc.run(_random_start(p, g, np.random.default_rng(1)))[0]
+        kept = values.copy()
+        desc.run(_random_start(p, g, np.random.default_rng(2)))
+        assert np.array_equal(values, kept)
 
     def test_non_finite_gradient_raises(self, grid, monkeypatch):
         monkeypatch.setattr(cnls.solver, "gradient_raw",
@@ -179,6 +221,85 @@ class TestDescent:
         res = _multistart(ParameterSet.make([1.0], [1.0], 0.0), grid)
         assert res.grad_norm == final_gnorm
         assert res.converged is converged
+
+
+class TestPairs:
+    D, N = 2, 7
+
+    def points(self, rng, curvature):
+        """(u, u_old, rhs, rhs_old) with y = curvature * s plus noise."""
+        u, u_old = rng.standard_normal((2, self.D, self.N + 1))
+        rhs_old = rng.standard_normal((self.D, self.N))
+        s = (u - u_old)[:, :self.N]
+        rhs = rhs_old + curvature * s + 1e-3 * rng.standard_normal(s.shape)
+        return u, u_old, rhs, rhs_old
+
+    def test_a_stored_pair_is_the_change_of_point_and_gradient(self):
+        pairs = _Pairs(self.D, self.N)
+        u, u_old, rhs, rhs_old = self.points(np.random.default_rng(0), 2.0)
+        pairs.add(u, u_old, rhs, rhs_old)
+        (slot,) = pairs.stored
+        s, y = u[:, :self.N] - u_old[:, :self.N], rhs - rhs_old
+        assert np.array_equal(pairs.S[slot], s)
+        assert np.array_equal(pairs.Y[slot], y)
+        assert pairs.rho[slot] == 1.0 / _dot(s, y)
+
+    def test_a_pair_without_curvature_leaves_the_memory_untouched(self):
+        pairs = _Pairs(self.D, self.N)
+        rng = np.random.default_rng(1)
+        for _ in range(LBFGS_MEMORY):
+            pairs.add(*self.points(rng, 2.0))
+        stored = list(pairs.stored)
+        S, Y, rho = pairs.S.copy(), pairs.Y.copy(), pairs.rho.copy()
+        u, u_old, rhs, rhs_old = self.points(rng, -2.0)
+        s, y = u[:, :self.N] - u_old[:, :self.N], rhs - rhs_old
+        assert not _dot(s, y) > CURVATURE_MIN * np.sqrt(_dot(s, s) * _dot(y, y))
+        pairs.add(u, u_old, rhs, rhs_old)
+        assert list(pairs.stored) == stored
+        assert np.array_equal(pairs.S[stored], S[stored])
+        assert np.array_equal(pairs.Y[stored], Y[stored])
+        assert np.array_equal(pairs.rho[stored], rho[stored])
+
+    def test_the_oldest_pair_is_dropped_beyond_the_memory(self):
+        pairs = _Pairs(self.D, self.N)
+        rng = np.random.default_rng(2)
+        steps = []
+        for _ in range(LBFGS_MEMORY + 2):
+            u, u_old, rhs, rhs_old = self.points(rng, 2.0)
+            pairs.add(u, u_old, rhs, rhs_old)
+            steps.append(u[:, :self.N] - u_old[:, :self.N])
+        assert len(pairs.stored) == LBFGS_MEMORY
+        for slot, s in zip(pairs.stored, steps[-LBFGS_MEMORY:]):
+            assert np.array_equal(pairs.S[slot], s)
+
+    def test_clear_forgets_every_pair(self):
+        pairs = _Pairs(self.D, self.N)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            pairs.add(*self.points(rng, 2.0))
+        pairs.clear()
+        assert not pairs.stored
+        u, u_old, rhs, rhs_old = self.points(rng, 2.0)
+        pairs.add(u, u_old, rhs, rhs_old)
+        (slot,) = pairs.stored
+        assert np.array_equal(pairs.S[slot], u[:, :self.N] - u_old[:, :self.N])
+
+    def test_no_pair_spans_the_step_that_switches_a_component_off(self, monkeypatch):
+        # below the switch-on coupling the amplitude step zeroes component 1
+        # of the full soliton start; the step after that clear makes no pair
+        spans = []
+
+        class Recording(_Pairs):
+            def add(self, u, u_old, rhs, rhs_old):
+                spans.append((bool(u[1].any()), bool(u_old[1].any())))
+                super().add(u, u_old, rhs, rhs_old)
+
+        monkeypatch.setattr(cnls.solver, "_Pairs", Recording)
+        g = RadialGrid.make(1, 20.0, 400)
+        desc = _Descent(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.99, N=1), g)
+        values, _, _, converged = desc.run(np.array([soliton_profile(g, 1.0, 1.0)] * 2))
+        assert converged and not values[1].any()
+        assert (False, False) in spans and (False, True) not in spans
 
 
 class TestMultistart:
