@@ -28,13 +28,7 @@ from .phase import (
     classify,
     sweep,
 )
-from .reduction import (
-    ReducedSystem,
-    SphereMaxResult,
-    lift_ground_state,
-    reduce_system,
-    sphere_max,
-)
+from .reduction import ReducedSystem, lift_ground_state, reduce_system
 from .solver import (
     GroundStateResult,
     ground_state,
@@ -57,7 +51,6 @@ __all__ = [
     "RadialGrid",
     "ReducedSystem",
     "SEMITRIVIAL",
-    "SphereMaxResult",
     "action",
     "action_gradient",
     "action_on_nehari",
@@ -73,7 +66,6 @@ __all__ = [
     "semitrivial_level",
     "simplex_qp_max",
     "small_b_bound",
-    "sphere_max",
     "sweep",
     "validate",
 ]

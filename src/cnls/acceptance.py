@@ -17,7 +17,7 @@ from .functional import action, action_gradient, action_on_nehari, nehari_scale,
 from .grid import MultiField, RadialGrid, default_radius, wdot
 from .params import ParameterSet, small_b_bound
 from .phase import FULLY_NONTRIVIAL, MARGIN_TOL, SEMITRIVIAL, PhaseOptions, build_grid, classify
-from .reduction import lift_ground_state, reduce_system, sphere_max
+from .reduction import lift_ground_state, reduce_system
 from .solver import (
     ground_state,
     minimize_restricted,
@@ -81,10 +81,22 @@ def criterion_02_symmetric_pair_threshold():
     )
 
 
+def _closed_form_max(mu, b):
+    """max z^T B z on the simplex for B with mu on the diagonal and one b
+    off it: the largest mu_i when it is at least b (vertex and face), else
+    b - 1/sum_i 1/(b - mu_i) (interior, where sum_i (b - F)/(b - mu_i) = 1)."""
+    mu_max = float(mu.max())
+    if mu_max >= b:
+        return mu_max
+    return b - 1.0 / float(np.sum(1.0 / (b - mu)))
+
+
 def criterion_03_sphere_max_oracle():
     """Closed-form sphere maximum vs the exact simplex QP of B (mu on the
     diagonal, b off it) at 1e-12 relative, k = 2..6, in all three regimes
-    and at mu = 0, b = 1, where f_max = 1 - 1/k."""
+    and at mu = 0, b = 1, where f_max = 1 - 1/k.  The closed form holds for
+    a constant b only and lives here, as the independent check of
+    `simplex_qp_max`, which the reduction and the solver use."""
     rng = np.random.default_rng(20240811)
     worst = 0.0
     checks = 0
@@ -100,13 +112,13 @@ def criterion_03_sphere_max_oracle():
                 else:
                     b = float(mu.max())
                 draws.append((regime, mu, b))
-        if abs(sphere_max(np.zeros(k), 1.0).f_max - (1.0 - 1.0 / k)) > 1e-12:
+        if abs(_closed_form_max(np.zeros(k), 1.0) - (1.0 - 1.0 / k)) > 1e-12:
             return False, f"k={k}: closed form at mu=0,b=1 is not 1 - 1/k"
         for regime, mu, b in draws:
             B = np.full((k, k), b)
             np.fill_diagonal(B, mu)
             exact, _ = simplex_qp_max(B)
-            gap = abs(sphere_max(mu, b).f_max - exact) / exact
+            gap = abs(_closed_form_max(mu, b) - exact) / exact
             worst = max(worst, gap)
             checks += 1
             if gap > 1e-12:

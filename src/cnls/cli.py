@@ -223,7 +223,7 @@ def cmd_reduce(config, p, args):
     red = reduce_system(p, group)
     print(json.dumps({
         "reduced_parameters": red.reduced.to_json_dict(),
-        "sphere_max": red.sphere.to_json_dict(),
+        "simplex_max": {"F": float(red.reduced.mu[0]), "z": [float(x) for x in red.z]},
         "mapping": {
             "group": list(red.group),
             "retained": list(red.retained),

@@ -367,14 +367,11 @@ class TestReduce:
         }
         assert main(["reduce", write_config(tmp_path, cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        half = 0.7071067811865476
         assert payload == {
             "mapping": {"group": [0, 1], "retained": [2]},
             "reduced_parameters": {"N": 1, "b": [[0.0, 3.0], [3.0, 0.0]], "d": 2,
                                    "lambda": [1.0, 2.0], "mu": [2.0, 1.0]},
-            "sphere_max": {"X_description": {"magnitudes": [half, half],
-                                             "type": "sign_choices"},
-                           "X_repr": [half, half], "f_max": 2.0, "regime": "interior"},
+            "simplex_max": {"F": 2.0, "z": pytest.approx([0.5, 0.5], rel=0, abs=1e-15)},
         }
 
     def test_nonconstant_coupling_exit_1(self, tmp_path, capsys):
@@ -386,7 +383,22 @@ class TestReduce:
             "reduce": {"group": [0, 1]},
         }
         assert main(["reduce", write_config(tmp_path, cfg)]) == 1
-        assert "constant coupling" in capsys.readouterr().err
+        assert ("retained component 2 couples to group members 0 and 1 by different values"
+                in capsys.readouterr().err)
+
+    def test_nonconstant_group_coupling_exit_0(self, tmp_path, capsys):
+        cfg = {
+            "parameters": {
+                "d": 3, "N": 1, "lambda": [1.0, 1.0, 2.0], "mu": [1.0, 1.0, 1.0],
+                "b": [[0, 3.0, 2.0], [3.0, 0, 2.0], [2.0, 2.0, 0]],
+            },
+            "reduce": {"group": [0, 1]},
+        }
+        assert main(["reduce", write_config(tmp_path, cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reduced_parameters"]["b"] == [[0.0, 2.0], [2.0, 0.0]]
+        assert payload["simplex_max"] == {"F": 2.0,
+                                          "z": pytest.approx([0.5, 0.5], rel=0, abs=1e-15)}
 
     def test_missing_group_exit_1(self, tmp_path, capsys):
         cfg = {"parameters": PAIR["parameters"]}

@@ -309,7 +309,7 @@ def coupling_matrix(mu, b):
 
 class TestSimplexQP:
     def test_never_below_dense_sampling_of_the_simplex(self):
-        # the one check of the enumerator that does not go through sphere_max
+        # checks every rule against sampling alone, with no closed form or enumeration
         rng = np.random.default_rng(13)
         for trial in range(200):
             k = 2 + trial % 4
@@ -391,9 +391,12 @@ class TestSimplexQP:
         assert np.allclose(z, 1.0 / k, rtol=0, atol=1e-14)
 
     def test_exact_face_tie_has_singular_blocks(self):
-        # mu_0 = mu_1 = b: every B_SS with {0, 1} in S is singular
-        F, z = simplex_qp_max(coupling_matrix([2.0, 2.0, 1.0], 2.0))
-        assert F == 2.0 and np.array_equal(z, [1.0, 0.0, 0.0])
+        # mu_0 = mu_1 = b: every B_SS with {0, 1} in S is singular; with
+        # mu_0 = mu_1 > b, B is positive definite and the vertices tie; the
+        # smallest index wins both ties
+        for mu, b, F_max in (([2.0, 2.0, 1.0], 2.0, 2.0), ([5.0, 5.0, 1.0], 3.0, 5.0)):
+            F, z = simplex_qp_max(coupling_matrix(mu, b))
+            assert F == F_max and np.array_equal(z, [1.0, 0.0, 0.0])
 
     def test_single_entry(self):
         for value in (3.0, 0.0, -2.5):

@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from cnls.functional import action
-from cnls.grid import RadialGrid
+from cnls.functional import action, simplex_qp_max
+from cnls.grid import RadialGrid, default_radius
 from cnls.params import ParameterSet
-from cnls.reduction import (
-    REGIME_FACE,
-    REGIME_INTERIOR,
-    REGIME_VERTEX,
-    lift_ground_state,
-    reduce_system,
-    sphere_max,
-)
+from cnls.reduction import lift_ground_state, reduce_system
 from cnls.solver import ground_state
 
 
@@ -22,35 +15,40 @@ def coupling_matrix(mu, b):
     return B
 
 
+def merge(mu, b):
+    """F = reduced mu and z of the reduction of all len(mu) components, one
+    lambda and a constant coupling b."""
+    red = reduce_system(ParameterSet.make([1.0] * len(mu), mu, b), tuple(range(len(mu))))
+    return red.reduced.mu[0], red.z
+
+
 class TestSphereMax:
+    """The sphere maximum f_max = max z^T B z (z = X^2) that merges a group,
+    in the closed-form regimes of a constant coupling."""
+
     def test_interior_example(self):
-        res = sphere_max([1.0, 1.0], 3.0)
-        assert res.regime == REGIME_INTERIOR
-        assert res.f_max == pytest.approx(2.0, rel=1e-14)
-        assert np.allclose(res.X_repr, [2.0 ** -0.5, 2.0 ** -0.5])
+        F, z = merge([1.0, 1.0], 3.0)
+        assert F == pytest.approx(2.0, rel=1e-14)
+        assert np.allclose(z, [0.5, 0.5])
 
     def test_vertex_example(self):
-        res = sphere_max([5.0, 1.0], 3.0)
-        assert res.regime == REGIME_VERTEX
-        assert res.f_max == pytest.approx(5.0)
-        assert np.allclose(res.X_repr, [1.0, 0.0])
-        assert res.X_description["indices"] == [0]
+        F, z = merge([5.0, 1.0], 3.0)
+        assert F == 5.0 and np.array_equal(z, [1.0, 0.0])
 
     def test_vertex_tie_picks_smallest_index(self):
-        res = sphere_max([5.0, 5.0, 1.0], 3.0)
-        assert np.allclose(res.X_repr, [1.0, 0.0, 0.0])
-        assert res.X_description["indices"] == [0, 1]
+        F, z = merge([5.0, 5.0, 1.0], 3.0)
+        assert F == 5.0 and np.array_equal(z, [1.0, 0.0, 0.0])
 
     def test_face_example(self):
-        res = sphere_max([3.0, 1.0], 3.0)
-        assert res.regime == REGIME_FACE
-        assert res.f_max == pytest.approx(3.0)
-        assert np.allclose(res.X_repr, [1.0, 0.0])
+        F, z = merge([3.0, 1.0], 3.0)
+        assert F == pytest.approx(3.0) and np.allclose(z, [1.0, 0.0])
 
     def test_uniform_zero_mu(self):
+        # mu -> 0 at b = 1: F = 1 - (1 - mu)/k tends to 1 - 1/k at the uniform z
         for k in (2, 3, 4):
-            res = sphere_max(np.zeros(k), 1.0)
-            assert res.f_max == pytest.approx(1.0 - 1.0 / k, rel=1e-14)
+            F, z = merge([1e-300] * k, 1.0)
+            assert F == pytest.approx(1.0 - 1.0 / k, rel=1e-14)
+            assert np.allclose(z, 1.0 / k, rtol=0, atol=1e-14)
 
     def test_repr_is_unit_and_achieves_max(self):
         rng = np.random.default_rng(3)
@@ -58,10 +56,9 @@ class TestSphereMax:
             k = int(rng.integers(2, 5))
             mu = rng.uniform(0.1, 2.0, size=k)
             b = rng.uniform(0.2, 3.0)
-            res = sphere_max(mu, b)
-            assert np.linalg.norm(res.X_repr) == pytest.approx(1.0, abs=1e-12)
-            z = res.X_repr ** 2
-            assert z @ coupling_matrix(mu, b) @ z == pytest.approx(res.f_max, abs=1e-10)
+            F, z = merge(mu, b)
+            assert np.all(z >= 0) and np.linalg.norm(np.sqrt(z)) == pytest.approx(1.0, abs=1e-12)
+            assert z @ coupling_matrix(mu, b) @ z == pytest.approx(F, abs=1e-10)
 
     def test_interior_multiplier_identity(self):
         rng = np.random.default_rng(4)
@@ -69,31 +66,18 @@ class TestSphereMax:
             k = int(rng.integers(2, 5))
             mu = rng.uniform(0.1, 1.0, size=k)
             b = float(mu.max()) * rng.uniform(1.1, 3.0)
-            res = sphere_max(mu, b)
-            assert res.regime == REGIME_INTERIOR
-            total = np.sum((b - res.f_max) / (b - mu))
+            F, z = merge(mu, b)
+            assert np.all(z > 0)
+            total = np.sum((b - F) / (b - mu))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_continuity_across_regimes(self):
-        mu = np.array([0.5, 0.9])
         b = 0.9
-        lo = sphere_max(np.array([0.5, b - 1e-6]), b)
-        hi = sphere_max(np.array([0.5, b + 1e-6]), b)
-        assert lo.regime == REGIME_INTERIOR and hi.regime == REGIME_VERTEX
-        assert abs(lo.f_max - b) < 1e-4
-        assert abs(hi.f_max - b) < 1e-4
-
-    @pytest.mark.parametrize(
-        "mu,b,message",
-        [([np.inf, 1.0], 2.0, "mu must be"), ([np.nan, 1.0], 2.0, "mu must be"),
-         ([1.0, 1.0], np.nan, "b must be"), ([1.0, 1.0], np.inf, "b must be"),
-         ([[1.0, 1.0]], 2.0, "mu must be"), (np.ones((2, 2)), 2.0, "mu must be"),
-         ([1.0], 2.0, "sphere_max needs k >= 2, got 1")],
-        ids=["inf-mu", "nan-mu", "nan-b", "inf-b", "row-mu", "matrix-mu", "one-entry"],
-    )
-    def test_rejects_non_finite_or_non_vector_input(self, mu, b, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            sphere_max(mu, b)
+        lo_F, lo_z = merge(np.array([0.5, b - 1e-6]), b)
+        hi_F, hi_z = merge(np.array([0.5, b + 1e-6]), b)
+        assert np.all(lo_z > 0) and np.array_equal(hi_z, [0.0, 1.0])
+        assert abs(lo_F - b) < 1e-4
+        assert abs(hi_F - b) < 1e-4
 
 
 class TestReduceSystem:
@@ -123,10 +107,44 @@ class TestReduceSystem:
             assert red.reduced.mu[0] == pytest.approx(b - (b - mu) / k, rel=1e-12)
 
     def test_rejects_nonconstant_coupling(self):
+        # component 2 couples to the group {0, 1} by 2 and by 3
         b = [[0, 2.0, 2.0], [2.0, 0, 3.0], [2.0, 3.0, 0]]
         p = ParameterSet.make([1.0] * 3, [1.0] * 3, b)
-        with pytest.raises(ValueError, match="constant coupling"):
+        with pytest.raises(ValueError, match=r"retained component 2 couples to group "
+                                             r"members 0 and 1 by different values"):
             reduce_system(p, (0, 1))
+
+    def test_accepts_nonconstant_group_coupling(self):
+        # the group {0, 1, 3} couples by 3, 2 and 1.5 inside; component 2
+        # couples to all three by 1.2
+        b = [[0, 3.0, 1.2, 2.0], [3.0, 0, 1.2, 1.5], [1.2, 1.2, 0, 1.2], [2.0, 1.5, 1.2, 0]]
+        p = ParameterSet.make([1.0, 1.0, 2.0, 1.0], [1.0, 0.5, 0.7, 2.0], b)
+        red = reduce_system(p, (3, 0, 1))
+        F, z = simplex_qp_max([[1.0, 3.0, 2.0], [3.0, 0.5, 1.5], [2.0, 1.5, 2.0]])
+        assert red.group == (0, 1, 3) and red.retained == (2,)
+        assert np.array_equal(red.reduced.lam, [1.0, 2.0])
+        assert np.array_equal(red.reduced.mu, [F, 0.7])
+        assert np.array_equal(red.reduced.b, [[0.0, 1.2], [1.2, 0.0]])
+        assert np.array_equal(red.z, z)
+
+    @pytest.mark.parametrize(
+        "lam,mu,b,group",
+        [([1.0, 1.0, 1.5], [1.0, 1.4, 0.8], [[0, 2.5, 1.7], [2.5, 0, 1.7], [1.7, 1.7, 0]],
+          (0, 1)),
+         ([0.8, 1.2, 0.8], [1.2, 1.0, 0.6], [[0, 2.5, 1.6], [2.5, 0, 2.5], [1.6, 2.5, 0]],
+          (0, 2))],
+        ids=["retained-off", "retained-on"],
+    )
+    def test_nonconstant_group_levels_match(self, lam, mu, b, group):
+        # the reduction is exact on the grid, so the two levels agree to roundoff
+        p = ParameterSet.make(lam, mu, b, N=3)
+        g = RadialGrid.make(3, default_radius(min(lam)), 400)
+        red = reduce_system(p, group)
+        full, reduced = ground_state(p, g), ground_state(red.reduced, g)
+        assert full.converged and reduced.converged
+        assert full.level == pytest.approx(reduced.level, rel=1e-12)
+        lifted = lift_ground_state(reduced, red)
+        assert action(lifted, p).action == pytest.approx(reduced.level, rel=1e-12)
 
     def test_rejects_unequal_group_lambdas(self):
         p = ParameterSet.make([1.0, 1.5, 2.0], [1.0] * 3, 3.0)
@@ -158,12 +176,14 @@ class TestLift:
         assert bk.action == pytest.approx(res.level, rel=1e-8)
 
     def test_lift_preserves_action_with_retained_component(self):
-        p = ParameterSet.make([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], 3.0)
-        red = reduce_system(p, (0, 1))
+        # the second input is the face tie mu_0 = mu_1 = b: z is the vertex e_0
         g = RadialGrid.make(1, 20.0, 1000)
-        res = ground_state(red.reduced, g)
-        lifted = lift_ground_state(res, red)
-        assert action(lifted, p).action == pytest.approx(res.level, rel=1e-8)
+        for mu in ([1.0, 1.0, 1.0], [3.0, 3.0, 1.0]):
+            p = ParameterSet.make([1.0, 1.0, 2.0], mu, 3.0)
+            red = reduce_system(p, (0, 1))
+            res = ground_state(red.reduced, g)
+            lifted = lift_ground_state(res, red)
+            assert action(lifted, p).action == pytest.approx(res.level, rel=1e-8)
 
     def test_lift_of_zero_merged_component(self):
         p = ParameterSet.make([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], 3.0)
