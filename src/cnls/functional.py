@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv, dsyev
 
-from .grid import MultiField, h1_sq_raw, neg_lap_plus_raw
+from .grid import MultiField, neg_lap_plus_raw
 from .params import ParameterSet
 
 
@@ -54,7 +54,7 @@ def _check_dims(u: MultiField, p: ParameterSet):
         raise ValueError(f"dimension mismatch: fields have d={u.d}, parameters d={p.d}")
 
 
-def action_parts_raw(grid, values, p: ParameterSet):
+def action_parts_raw(grid, values, p: ParameterSet, work=None):
     """Return (q, M) for a (d, n+1) array: q_i = ||u_i||^2_{lambda_i},
     M_ii = mu_i |u_i|_4^4 and M_ij = b_ij |u_i u_j|_2^2 (i != j).
 
@@ -62,15 +62,24 @@ def action_parts_raw(grid, values, p: ParameterSet):
     sum(M).  Scaling row i by s_i maps (q, M) to (D q, D M D) with D =
     diag(s^2), which is what the solver's amplitude step solves in.  Each
     entry is one weighted dot product, so a zero row gives exact zeros and
-    a system with zero rows has the same parts as the system without them.
+    a system with zero rows has the same parts as the system without them;
+    q_i is `h1_sq_raw` of row i to the last bit.  The squares are computed
+    into work[0] and work[1] of a workspace like `gradient_raw`'s, which is
+    allocated when ``work`` is None.
     """
-    d = values.shape[0]
-    v2 = values * values
-    wv2 = grid.weights * v2
+    d, n = values.shape[0], grid.n
+    if work is None:
+        work = np.empty((2,) + values.shape)
+    v2 = np.multiply(values, values, out=work[0])
+    du2 = np.subtract(values[:, 1:], values[:, :-1], out=work[1][:, :n])
+    du2 *= du2
     q = np.empty(d)
+    for i in range(d):
+        stiff = float(np.dot(grid.conductance, du2[i]))
+        q[i] = stiff + float(p.lam[i]) * float(np.dot(grid.weights, v2[i]))
+    wv2 = np.multiply(grid.weights, v2, out=work[1])
     M = np.empty((d, d))
     for i in range(d):
-        q[i] = h1_sq_raw(grid, values[i], float(p.lam[i]))
         M[i, i] = float(p.mu[i]) * float(np.dot(wv2[i], v2[i]))
         for j in range(i):
             M[i, j] = M[j, i] = float(p.b[i, j]) * float(np.dot(wv2[i], v2[j]))
@@ -162,15 +171,23 @@ def _simplex_supports(B):
     return best, best_z
 
 
-def gradient_raw(grid, values, p: ParameterSet):
-    """Weighted-pairing gradient of the action as a (d, n+1) array; the
-    nonlinear part is built in place (at large n temporaries cost most).
-    Row i of ``p.b @ v2`` is sum_{j != i} b_ij v_j^2, as b_ii is stored 0."""
-    v2 = values * values
-    nonlin = p.b @ v2
-    nonlin += p.mu[:, None] * v2
+def gradient_raw(grid, values, p: ParameterSet, work=None):
+    """Weighted-pairing gradient of the action as a (d, n+1) array.
+
+    ``work`` is a (3, d, n+1) workspace that takes every intermediate and
+    the result, work[2], so a caller that passes one makes no temporaries
+    of that size; the next kernel call with the same workspace overwrites
+    the result.  Without one the workspace is allocated here.  Row i of
+    ``p.b @ v2`` is sum_{j != i} b_ij v_j^2, as b_ii is stored 0.
+    """
+    if work is None:
+        work = np.empty((3,) + values.shape)
+    v2 = np.multiply(values, values, out=work[0])
+    nonlin = np.matmul(p.b, v2, out=work[1])
+    v2 *= p.mu[:, None]
+    nonlin += v2
     nonlin *= values
-    out = neg_lap_plus_raw(grid, values, p.lam)
+    out = neg_lap_plus_raw(grid, values, p.lam, out=work[2], spare=work[0])
     out -= nonlin
     out[:, -1] = 0.0
     return out

@@ -160,21 +160,28 @@ def l4_raw(grid, values):
     return float(np.dot(grid.weights, v2 * v2))
 
 
-def neg_lap_plus_raw(grid, values, lam):
+def neg_lap_plus_raw(grid, values, lam, out=None, spare=None):
     """Apply -Laplace + lam in the exact weighted-pairing representation.
 
     ``values`` is one profile (n+1,) with a scalar ``lam``, or a (d, n+1)
     array with one lam per row.  Node 0 uses the natural (Neumann) axis
     closure of the quadratic form; node n is the Dirichlet node and returns 0.
+    ``out`` receives the result and ``spare`` holds the cell fluxes and
+    lam * values; both have the shape of ``values``, do not overlap it, and
+    are allocated when not given.
     """
     n = grid.n
-    flux = grid.conductance * (values[..., 1:] - values[..., :-1])
-    out = np.empty_like(values)
-    out[..., 0] = -flux[..., 0]
-    out[..., 1:n] = flux[..., : n - 1] - flux[..., 1:n]
+    if out is None:
+        out = np.empty_like(values)
+    if spare is None:
+        spare = np.empty_like(values)
+    flux = np.subtract(values[..., 1:], values[..., :-1], out=spare[..., :n])
+    flux *= grid.conductance
+    np.negative(flux[..., 0], out=out[..., 0])
+    np.subtract(flux[..., : n - 1], flux[..., 1:n], out=out[..., 1:n])
     out[..., n] = 0.0
     out /= grid.weights
-    out += np.asarray(lam)[..., None] * values
+    out += np.multiply(np.asarray(lam)[..., None], values, out=spare)
     out[..., n] = 0.0
     return out
 

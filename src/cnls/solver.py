@@ -27,9 +27,11 @@ Backtracking stops once the predicted decrease is below one ulp of the
 level: a trial accepted there would be accepted by rounding noise, so the
 descent ends at that roundoff floor.  Each trial is built in place in a
 buffer of the descent, and an accepted trial becomes the iterate without a
-copy.  Iterates are clamped nonnegative: ground states have signed
-components, and fixing the positive representative removes sign
-oscillation.
+copy.  `gradient_raw` and `action_parts_raw` compute into a workspace that
+the descent allocates once per multistart, so an iteration allocates no
+array of the grid's size.  Iterates are clamped nonnegative: ground states
+have signed components, and fixing the positive representative removes
+sign oscillation.
 
 After each accepted Armijo step the descent takes an exact step in the
 component amplitudes (`amplitude_step`).  With the action parts (q, M) of
@@ -64,7 +66,7 @@ from scipy.linalg import cho_solve_banded  # noqa: F401  (perfbench/tracing.py w
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import action_parts_raw, gradient_raw, nehari_raw, simplex_qp_kernel
-from .grid import MultiField, RadialGrid, l4_raw, operator_tridiag
+from .grid import MultiField, RadialGrid, operator_tridiag
 from .params import ParameterSet, index_set
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -210,10 +212,14 @@ class _Pairs:
     def add(self, u, u_old, rhs, rhs_old):
         """Write the pair s = u - u_old (free nodes), y = rhs - rhs_old into
         the spare slot and store it when s.y > CURVATURE_MIN |s| |y|,
-        dropping the oldest pair beyond LBFGS_MEMORY."""
+        dropping the oldest pair beyond LBFGS_MEMORY.  s is written row by
+        row: numpy copies the strided (d, n) views of a whole-array subtract
+        into iterator buffers."""
         slot = next(j for j in range(len(self.S)) if j not in self.stored)
         n = self.work.shape[1]
-        s = np.subtract(u[:, :n], u_old[:, :n], out=self.S[slot])
+        s = self.S[slot]
+        for i in range(len(s)):
+            np.subtract(u[i, :n], u_old[i, :n], out=s[i])
         y = np.subtract(rhs, rhs_old, out=self.Y[slot])
         sy = _dot(s, y)
         if sy > CURVATURE_MIN * np.sqrt(_dot(s, s) * _dot(y, y)):
@@ -226,8 +232,10 @@ class _Pairs:
 class _Descent:
     """Shared machinery for the descents of one multistart at fixed
     (parameters, grid): the preconditioner is factored once, and the L-BFGS
-    ring buffers and the two weighted-gradient buffers are allocated once,
-    for all starts."""
+    ring buffers, the two weighted-gradient buffers and the workspace of
+    the action kernels (three (d, n+1) arrays that `gradient_raw` and
+    `action_parts_raw` compute into) are allocated once, for all starts, so
+    an iteration allocates no array of the grid's size."""
 
     def __init__(self, p: ParameterSet, grid: RadialGrid):
         self.p = p
@@ -235,10 +243,12 @@ class _Descent:
         self._ldl = None
         self._rhs = [np.empty((p.d, grid.n)) for _ in range(2)]
         self._pairs = _Pairs(p.d, grid.n)
+        self._work = np.empty((3, p.d, grid.n + 1))
 
-    def _direction(self, rhs, out):
-        """Write the L-BFGS direction H rhs into out[:, :n] and return
-        <rhs, H rhs>, where ``rhs`` is the weighted gradient from `_weigh`.
+    def _direction(self, rhs):
+        """The L-BFGS direction H rhs on the free nodes and <rhs, H rhs>,
+        where ``rhs`` is the weighted gradient from `_weigh`.  The direction
+        is a (d, n) buffer of the memory, overwritten by the next call.
 
         The two-loop recursion (Nocedal, Math. Comp. 35 (1980)) runs over
         the stored pairs with the H^1 preconditioner (-Laplace +
@@ -270,24 +280,26 @@ class _Descent:
         x = x.reshape(d, n)
         for j, a in zip(pairs.stored, reversed(coef)):
             x += np.multiply(S[j], a - rho[j] * _dot(Y[j], x), out=scaled)
-        out[:, :n] = x
-        return _dot(rhs, x)
+        return x, _dot(rhs, x)
 
     def _parts(self, values):
         """(q, M) of `action_parts_raw` at values and their Nehari
         projection (t, level), or None when values cannot be projected."""
-        q, M = action_parts_raw(self.grid, values, self.p)
+        q, M = action_parts_raw(self.grid, values, self.p, self._work)
         return q, M, nehari_raw(float(q.sum()), float(M.sum()))
 
     def _weigh(self, grad):
         """(weights * grad on the free nodes, weighted norm of grad): one
         pass gives both, since grad vanishes at the Dirichlet node.  The
         first array is one of two buffers that the calls take in turn, so
-        it survives the next call and is overwritten by the one after."""
+        it survives the next call and is overwritten by the one after.  It
+        is filled row by row, as in `_Pairs.add`."""
         self._rhs.reverse()
-        free = grad[:, :self.grid.n]
-        rhs = np.multiply(self.grid.weights[:self.grid.n], free, out=self._rhs[0])
-        return rhs, float(np.sqrt(_dot(rhs, free)))
+        rhs, n = self._rhs[0], self.grid.n
+        weights = self.grid.weights[:n]
+        for i in range(len(rhs)):
+            np.multiply(weights, grad[i, :n], out=rhs[i])
+        return rhs, float(np.sqrt(_dot(rhs, grad[:, :n])))
 
     @staticmethod
     def passes(gnorm, level, factor=1.0):
@@ -312,12 +324,14 @@ class _Descent:
         is below one ulp of the level, and at alpha = 1e-16 at the latest.
         A descent that finds no lower trial ends there, at the roundoff
         floor of the merit.  The iterate, the previous iterate and the trial
-        live in three buffers that swap roles by reference.
+        live in three zeroed buffers of the run that swap roles by
+        reference; a trial is built on the free nodes only, so the Dirichlet
+        node of every buffer stays 0.
 
         Returns (values, iterations, grad_norm, converged) or None when the
         start cannot be projected onto the constraint set.
         """
-        p, g = self.p, self.grid
+        p, g, n = self.p, self.grid, self.grid.n
         u = np.maximum(u0, 0.0)
         u[:, -1] = 0.0
         proj = self._parts(u)[2]
@@ -328,16 +342,12 @@ class _Descent:
         eps = np.finfo(float).eps
         pairs = self._pairs
         pairs.clear()
-        u_old, cand, direction = np.empty_like(u), np.empty_like(u), np.zeros_like(u)
+        u_old, cand = np.zeros_like(u), np.zeros_like(u)
         rhs_old = None  # the weighted gradient at u_old, when a pair is due
         step = INITIAL_STEP
         converged = False  # the loop runs at least once (MAX_ITERATIONS >= 1)
         for iterations in range(1, MAX_ITERATIONS + 1):
-            # keep grad referenced through the line search: releasing it
-            # here made the allocator return and re-fault its pages (10x the
-            # minor page faults, ~35% slower classify at d=4, n=8000)
-            grad = gradient_raw(g, u, p)
-            rhs, gnorm = self._weigh(grad)
+            rhs, gnorm = self._weigh(gradient_raw(g, u, p, self._work))
             if not np.isfinite(gnorm):
                 raise ValueError("descent gradient is not finite")
             if self.passes(gnorm, phi):
@@ -345,16 +355,16 @@ class _Descent:
                 break
             if rhs_old is not None:
                 pairs.add(u, u_old, rhs, rhs_old)
-            decrement = self._direction(rhs, direction)
+            direction, decrement = self._direction(rhs)
             if not decrement > 0.0:
                 pairs.clear()
-                decrement = self._direction(rhs, direction)
+                direction, decrement = self._direction(rhs)
             alpha = step
             while alpha > 1e-16 and alpha * decrement > eps * phi:
-                np.multiply(direction, alpha, out=cand)
-                np.subtract(u, cand, out=cand)
-                np.maximum(cand, 0.0, out=cand)
-                cand[:, -1] = 0.0
+                trial = cand[:, :n]
+                np.multiply(direction, alpha, out=trial)
+                np.subtract(u[:, :n], trial, out=trial)
+                np.maximum(cand, 0.0, out=cand)  # node n is 0 throughout
                 q, M, proj = self._parts(cand)
                 if proj is not None and proj[1] < phi - ARMIJO_C * alpha * decrement:
                     t, phi = proj
@@ -381,17 +391,21 @@ class _Descent:
         return u, iterations, gnorm, converged
 
     def finalize(self, values):
-        """Zero sub-threshold components, reproject, and measure the result."""
+        """Zero sub-threshold components, reproject, and measure the result
+        in a new array.  The L^4 masses (`grid.l4_raw` per row) come from
+        one pass over the workspace."""
         p, g = self.p, self.grid
-        masses = np.array([l4_raw(g, values[i]) for i in range(p.d)])
+        v4 = np.multiply(values, values, out=self._work[0])
+        v4 *= v4
+        masses = np.array([float(np.dot(g.weights, v4[i])) for i in range(p.d)])
         top = masses.max()
         if top <= 0.0:
             raise ValueError("descent collapsed to the zero field")
         alive = masses > THETA_TRIV * top
         values = np.where(alive[:, None], values, 0.0)
         t, level = self._parts(values)[2]
-        values = t * values
-        gnorm = self._weigh(gradient_raw(g, values, p))[1]
+        values *= t
+        gnorm = self._weigh(gradient_raw(g, values, p, self._work))[1]
         support = tuple(int(i) for i in np.flatnonzero(alive))
         return values, level, support, gnorm
 

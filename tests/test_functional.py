@@ -10,6 +10,7 @@ from cnls.functional import (
     action_gradient,
     action_on_nehari,
     action_parts_raw,
+    gradient_raw,
     nehari_scale,
 )
 from cnls.grid import (
@@ -305,6 +306,67 @@ def coupling_matrix(mu, b):
     B = np.full((len(mu), len(mu)), float(b))
     np.fill_diagonal(B, mu)
     return B
+
+
+def reference_parts(grid, values, p):
+    """`action_parts_raw` as a formula with fresh temporaries."""
+    d = len(values)
+    v2 = values * values
+    wv2 = grid.weights * v2
+    q, M = np.empty(d), np.empty((d, d))
+    for i in range(d):
+        q[i] = h1_sq_raw(grid, values[i], float(p.lam[i]))
+        for j in range(i + 1):
+            coef = p.mu[i] if i == j else p.b[i, j]
+            M[i, j] = M[j, i] = float(coef) * float(np.dot(wv2[i], v2[j]))
+    return q, M
+
+
+def reference_gradient(grid, values, p):
+    """`gradient_raw` as a formula with fresh temporaries, in its order of
+    operations."""
+    n = grid.n
+    flux = grid.conductance * (values[:, 1:] - values[:, :-1])
+    out = np.empty_like(values)
+    out[:, 0] = -flux[:, 0]
+    out[:, 1:n] = flux[:, : n - 1] - flux[:, 1:n]
+    out[:, n] = 0.0
+    out /= grid.weights
+    out += p.lam[:, None] * values
+    v2 = values * values
+    nonlin = p.b @ v2
+    nonlin += p.mu[:, None] * v2
+    nonlin *= values
+    out -= nonlin
+    out[:, n] = 0.0
+    return out
+
+
+class TestKernelWorkspace:
+    """`gradient_raw` and `action_parts_raw` compute into a caller's
+    workspace with the arithmetic of their allocating form, bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_workspace_results_are_bitwise_the_allocating_ones(self, d, N):
+        rng = np.random.default_rng(10 * d + N)
+        g = RadialGrid.make(N, 15.0, 300)
+        b = np.triu(rng.uniform(0.1, 3.0, (d, d)), 1)
+        p = ParameterSet.make(rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d), b + b.T, N=N)
+        work = np.full((3, d, g.n + 1), np.nan)  # stale contents must never be read
+        for _ in range(2):
+            vals = rng.uniform(-1.5, 1.5, (d, g.n + 1))
+            vals[:, -1] = 0.0
+            kept = vals.copy()
+            q_ref, M_ref = reference_parts(g, vals, p)
+            for q, M in (action_parts_raw(g, vals, p), action_parts_raw(g, vals, p, work)):
+                assert np.array_equal(q, q_ref) and np.array_equal(M, M_ref)
+            grad_ref = reference_gradient(g, vals, p)
+            assert np.array_equal(gradient_raw(g, vals, p), grad_ref)
+            grad = gradient_raw(g, vals, p, work)
+            assert np.shares_memory(grad, work)
+            assert np.array_equal(grad, grad_ref)
+            assert np.array_equal(vals, kept)
 
 
 class TestSimplexQP:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,10 +119,10 @@ class TestDescent:
         rng = np.random.default_rng(N)
         grad = rng.standard_normal((3, g.n + 1)) * np.array([[1e8], [1e-8], [1.0]])
         grad[:, -1] = 0.0  # as gradient_raw leaves the Dirichlet node
-        out = np.zeros_like(grad)
         rhs, gnorm = desc._weigh(grad)
         assert gnorm == pytest.approx(np.sqrt(np.sum((grad * grad) @ g.weights)), rel=1e-13)
-        decrement = desc._direction(rhs, out)
+        out, decrement = desc._direction(rhs)
+        assert out.shape == (3, g.n)
         c, n = g.conductance, g.n
         ref_decrement = 0.0
         for i in range(3):
@@ -131,8 +132,7 @@ class TestDescent:
             ab[1, 1:] = c[: n - 1] + c[1:n]
             ab[1] += lam[i] * g.weights[:n]
             ref = cho_solve_banded((cholesky_banded(ab), False), g.weights[:n] * grad[i, :n])
-            assert np.linalg.norm(out[i, :n] - ref) <= 1e-13 * np.linalg.norm(ref)
-            assert out[i, n] == 0.0
+            assert np.linalg.norm(out[i] - ref) <= 1e-13 * np.linalg.norm(ref)
             ref_decrement += float(np.dot(g.weights[:n] * grad[i, :n], ref))
         assert decrement == pytest.approx(ref_decrement, rel=1e-13)
 
@@ -196,9 +196,35 @@ class TestDescent:
         desc.run(_random_start(p, g, np.random.default_rng(2)))
         assert np.array_equal(values, kept)
 
+    def test_an_iteration_allocates_no_field_sized_array(self, monkeypatch):
+        # the peak above the start of a 10-iteration descent, in (d, n+1)
+        # arrays: the run's three buffers (iterate, previous iterate, trial)
+        # and one numpy iterator buffer.  Fresh kernel temporaries would add
+        # about seven arrays, and a whole-array multiply of the strided free
+        # nodes in `_weigh` or `_Pairs.add` two numpy iterator buffers
+        g = RadialGrid.make(2, 20.0, 2000)
+        p = ParameterSet.make([1.0, 1.1, 1.2], [1.0, 1.0, 1.0], 3.0, N=2)
+        start = _random_start(p, g, np.random.default_rng([SEED, 0]))
+        monkeypatch.setattr(cnls.solver, "MAX_ITERATIONS", 10)
+        desc = _Descent(p, g)
+        desc.run(start)  # factors the preconditioner
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            iterations = desc.run(start)[1]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert iterations == 10
+        assert peak <= 5 * p.d * (g.n + 1) * 8
+
     def test_non_finite_gradient_raises(self, grid, monkeypatch):
         monkeypatch.setattr(cnls.solver, "gradient_raw",
-                            lambda grid, values, p: np.full_like(values, np.nan))
+                            lambda grid, values, p, work=None: np.full_like(values, np.nan))
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
         with pytest.raises(ValueError):
             minimize_restricted(p, (0, 1), grid)
