@@ -148,11 +148,11 @@ def write_profiles_csv(path, mf, meta):
 
 
 def write_sweep_csv(path, points, axes, meta):
-    """One row per `SweepPoint`: the swept values, both levels, the margin,
-    the verdict, the certificate and the predicate flags."""
+    """One row per `SweepPoint`: the swept values, both levels, the margin, the
+    verdict, the certificate, the predicate flags and `decided_by`."""
     paths = [axis for axis, _ in axes]
-    columns = paths + ["full_level", "semitrivial_level", "margin", "verdict",
-                       "certificate_held"] + [f"pred_{name}" for name in PREDICATE_NAMES]
+    columns = paths + ["full_level", "semitrivial_level", "margin", "verdict", "certificate_held",
+                       *(f"pred_{name}" for name in PREDICATE_NAMES), "decided_by"]
 
     def row(pt):
         v = pt.verdict
@@ -160,7 +160,7 @@ def write_sweep_csv(path, points, axes, meta):
                 + [repr(v.numeric_full_level), repr(v.numeric_semitrivial_level),
                    repr(v.margin), v.verdict, str(v.certificate_held).lower()]
                 + [str(rep.satisfied).lower() if rep.applicable else "n/a"
-                   for rep in map(v.predicates.get, PREDICATE_NAMES)])
+                   for rep in map(v.predicates.get, PREDICATE_NAMES)] + [v.decided_by])
 
     _write_csv(path, meta, columns, map(row, points))
 
@@ -199,7 +199,7 @@ def cmd_classify(config, p, args):
     print(
         f"verdict={verdict.verdict} full={verdict.numeric_full_level:.6f} "
         f"semitrivial={verdict.numeric_semitrivial_level:.6f} "
-        f"margin={verdict.margin:.3e}"
+        f"margin={verdict.margin:.3e} decided_by={verdict.decided_by}"
     )
     return EXIT_OK if verdict.diagnostics["solver_converged"] else EXIT_WARNINGS
 

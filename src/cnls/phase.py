@@ -1,15 +1,7 @@
 """Phase classification: numeric levels plus analytic hypothesis flags.
 
-`classify` compares the best fully-supported level against the best
-semitrivial level and issues one of three verdicts:
-
-  * ``fully_nontrivial`` -- the full minimizer beats the semitrivial level
-    by more than the margin tolerance and keeps every component alive;
-  * ``semitrivial``      -- the numeric margin is negative, or it is flat
-    and the best semitrivial minimizer is stable in every missing slot (the
-    perturbation certificate finds no slot where the linearized operator
-    fails to be positive definite);
-  * ``inconclusive``     -- anything else (including solver non-convergence).
+`classify` compares the best full and semitrivial levels, decides by the
+first row of `VERDICT_RULES` whose test holds and names it in ``decided_by``.
 
 Analytic predicates (lambda clustering, coupling spread, the small-coupling
 bound) are attached for interpretation but never override the numbers: the
@@ -22,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -56,6 +48,20 @@ PREDICATE_NAMES = ("lambda_tail", "lambda_cluster", "coupling_spread", "small_co
 #: Decision margin of `classify`, relative to the semitrivial level; safely
 #: above the solver's discretization noise at the default resolution.
 MARGIN_TOL = 1e-4
+
+#: The verdict table of `classify`: (name, verdict, test) rows; the first row
+#: whose test holds decides, and past the first row the tests partition the
+#: cases.  A test reads `VerdictFacts`: whether every solve converged, the
+#: margin is above MARGIN_TOL * |semitrivial level| and every component of the
+#: full minimizer is alive, and the best semitrivial minimizer's unstable slots.
+VerdictFacts = namedtuple("VerdictFacts", "converged above_band all_alive unstable_slots")
+VERDICT_RULES = (
+    ("unconverged", INCONCLUSIVE, lambda f: not f.converged),
+    ("margin_above_band", FULLY_NONTRIVIAL, lambda f: f.above_band and f.all_alive),
+    ("full_support_incomplete", INCONCLUSIVE, lambda f: f.above_band and not f.all_alive),
+    ("stable_semitrivial", SEMITRIVIAL, lambda f: not f.above_band and not f.unstable_slots),
+    ("unstable_slot", INCONCLUSIVE, lambda f: not f.above_band and bool(f.unstable_slots)),
+)
 
 #: Largest number of points one `sweep` may classify.
 SWEEP_CAP = 2000
@@ -102,6 +108,7 @@ class PhaseVerdict:
     """Classification of a parameter set with the numbers behind it."""
 
     verdict: str
+    decided_by: str  # the `VERDICT_RULES` row that gave the verdict
     numeric_full_level: float
     numeric_semitrivial_level: float
     margin: float
@@ -113,6 +120,7 @@ class PhaseVerdict:
     def to_json_dict(self):
         return {
             "verdict": self.verdict,
+            "decided_by": self.decided_by,
             "numeric_full_level": self.numeric_full_level,
             "numeric_semitrivial_level": self.numeric_semitrivial_level,
             "margin": self.margin,
@@ -207,7 +215,7 @@ def evaluate_predicates(p: ParameterSet):
 
 def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
              restricted=None) -> PhaseVerdict:
-    """Classify a parameter set as fully nontrivial / semitrivial / inconclusive.
+    """Classify a parameter set by `VERDICT_RULES`.
 
     ``restricted`` maps size-(d-1) supports to `minimize_restricted` results
     already computed for ``p`` on its grid (`sweep` shares them between
@@ -223,19 +231,9 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
 
     # only the best semitrivial minimizer can be the ground state
     unstable_slots = perturbation_certificate(p, semi.results[semi.best_subset])
-    certificate_held = bool(unstable_slots)
-
-    all_alive = len(full.support) == p.d
-    sub_converged = all(r.converged for r in semi.results.values())
-    solver_converged = full.converged and sub_converged
-    if not solver_converged:
-        verdict = INCONCLUSIVE
-    elif margin > margin_abs and all_alive:
-        verdict = FULLY_NONTRIVIAL
-    elif margin < -margin_abs or (abs(margin) <= margin_abs and not certificate_held):
-        verdict = SEMITRIVIAL
-    else:
-        verdict = INCONCLUSIVE
+    converged = full.converged and all(r.converged for r in semi.results.values())
+    facts = VerdictFacts(converged, margin > margin_abs, len(full.support) == p.d, unstable_slots)
+    rule, verdict = next((name, verdict) for name, verdict, test in VERDICT_RULES if test(facts))
 
     diagnostics = {
         "full": full.to_json_dict(),
@@ -246,15 +244,16 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
         },
         "unstable_slots": list(unstable_slots),
         "margin_tol_abs": margin_abs,
-        "solver_converged": solver_converged,
+        "solver_converged": converged,
         "grid": grid.to_json_dict(),
     }
     return PhaseVerdict(
         verdict=verdict,
+        decided_by=rule,
         numeric_full_level=full.level,
         numeric_semitrivial_level=semi.level,
         margin=margin,
-        certificate_held=certificate_held,
+        certificate_held=bool(unstable_slots),
         predicates=evaluate_predicates(p),
         full_support=full.support,
         diagnostics=diagnostics,

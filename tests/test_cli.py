@@ -242,9 +242,12 @@ class TestClassify:
         code = main(["classify", write_config(tmp_path, PAIR), "--output-dir",
                      str(tmp_path / "out")])
         assert code == 0
-        assert "verdict=fully_nontrivial" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verdict=fully_nontrivial" in out
+        assert out.rstrip().endswith(" decided_by=margin_above_band")
         verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
         assert verdict["classification"]["verdict"] == "fully_nontrivial"
+        assert verdict["classification"]["decided_by"] == "margin_above_band"
         assert "predicates" in verdict["classification"]
 
     def test_output_dir_leaves_verdict_unchanged(self, tmp_path):
@@ -289,9 +292,13 @@ class TestSweep:
         blob2 = (tmp_path / "out" / "sweep.csv").read_bytes()
         assert blob1 == blob2
         lines = blob1.decode().splitlines()
-        assert lines[1].startswith("b,full_level")
+        # perfbench reads the first five columns by position; decided_by comes last
+        header = lines[1].split(",")
+        assert header[:5] == ["b", "full_level", "semitrivial_level", "margin", "verdict"]
+        assert header[-1] == "decided_by"
         assert len(lines) == 2 + 2
-        assert lines[2].endswith("semitrivial,false,n/a,n/a,n/a,true")
+        assert lines[2].endswith("semitrivial,false,n/a,n/a,n/a,true,stable_semitrivial")
+        assert lines[3].endswith("fully_nontrivial,true,n/a,n/a,n/a,false,margin_above_band")
 
     def test_flags_leave_sweep_csv_unchanged(self, tmp_path):
         # the flags say where and how wide, the config what: config_sha256
@@ -354,6 +361,7 @@ class TestSweep:
         assert "(3 flagged)" in capsys.readouterr().out
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
         assert [row.split(",")[4] for row in rows] == ["inconclusive"] * 3
+        assert [row.split(",")[-1] for row in rows] == ["unconverged"] * 3
 
 
 class TestReduce:

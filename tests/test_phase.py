@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -11,9 +12,11 @@ from cnls.phase import (
     INCONCLUSIVE,
     SEMITRIVIAL,
     SWEEP_CAP,
+    VERDICT_RULES,
     WORKERS_CAP,
     PhaseOptions,
     SweepPoint,
+    VerdictFacts,
     build_grid,
     classify,
     evaluate_predicates,
@@ -58,9 +61,11 @@ class TestClassify:
         opts = PhaseOptions(grid_n=150)
         v = classify(p, opts)
         assert v.verdict == SEMITRIVIAL and v.diagnostics["solver_converged"]
+        assert v.decided_by == "stable_semitrivial"
         monkeypatch.setattr(solver, "BACKTRACK_FACTOR", 1e-300)
         v = classify(p, opts)
         assert v.verdict == INCONCLUSIVE and not v.diagnostics["solver_converged"]
+        assert v.decided_by == "unconverged"
 
     @pytest.mark.parametrize("p", [
         ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.01, N=1),
@@ -91,13 +96,13 @@ class TestClassify:
 
     def test_strong_coupling_pair_is_fully_nontrivial(self):
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), FAST)
-        assert v.verdict == FULLY_NONTRIVIAL
+        assert (v.verdict, v.decided_by) == (FULLY_NONTRIVIAL, "margin_above_band")
         assert v.full_support == (0, 1)
         assert v.margin == pytest.approx(SINGLE_LEVEL - 2.0 / 3.0, rel=1e-3)
 
     def test_weak_coupling_pair_is_semitrivial(self):
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.5), FAST)
-        assert v.verdict == SEMITRIVIAL
+        assert (v.verdict, v.decided_by) == (SEMITRIVIAL, "stable_semitrivial")
         assert not v.certificate_held
         assert abs(v.margin) <= v.diagnostics["margin_tol_abs"]
 
@@ -113,7 +118,7 @@ class TestClassify:
         v = classify(ParameterSet.make(lam, [1.0, 1.0], b, N=N), PhaseOptions(grid_n=400))
         assert v.diagnostics["semitrivial"]["best_subset"] == [0]
         assert v.diagnostics["unstable_slots"] == [] and not v.certificate_held
-        assert v.verdict == SEMITRIVIAL
+        assert (v.verdict, v.decided_by) == (SEMITRIVIAL, "stable_semitrivial")
 
     def test_triple_below_small_coupling_bound(self):
         p = ParameterSet.make([1.0] * 3, [1.0] * 3, 0.3)
@@ -132,23 +137,12 @@ class TestClassify:
         assert v.predicates["lambda_tail"].satisfied
         assert not v.predicates["small_coupling"].satisfied
 
-    def test_verdict_invariants(self):
-        for b in (0.4, 1.6, 3.0):
-            v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], b), FAST)
-            tol = v.diagnostics["margin_tol_abs"]
-            if v.verdict == FULLY_NONTRIVIAL:
-                assert v.margin > tol and len(v.full_support) == 2
-            elif v.verdict == SEMITRIVIAL:
-                assert v.margin < -tol or (
-                    abs(v.margin) <= tol and not v.certificate_held
-                )
-
     def test_non_convergence_yields_inconclusive(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(solver, "RANDOM_STARTS", 0)
         opts = PhaseOptions(grid_n=600)
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), opts)
-        assert v.verdict == INCONCLUSIVE
+        assert (v.verdict, v.decided_by) == (INCONCLUSIVE, "unconverged")
         assert not v.diagnostics["solver_converged"]
 
     def test_permutation_equivariance(self):
@@ -168,11 +162,100 @@ class TestClassify:
             classify(ParameterSet.make([1.0], [1.0], 0.0), FAST)
 
     def test_verdict_serializes(self):
-        import json
-
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0), FAST)
-        blob = json.dumps(v.to_json_dict(), sort_keys=True)
-        assert "fully_nontrivial" in blob
+        blob = json.loads(json.dumps(v.to_json_dict(), sort_keys=True))
+        assert (blob["verdict"], blob["decided_by"]) == ("fully_nontrivial", "margin_above_band")
+
+
+#: The row of `VERDICT_RULES` that decides each (converged, margin above the
+#: band, every component alive, any unstable slot).  Below and within the band
+#: are one case: an unstable slot is inconclusive on either side.
+VERDICT_TRUTH_TABLE = {
+    (False, False, False, False): "unconverged",
+    (False, False, False, True): "unconverged",
+    (False, False, True, False): "unconverged",
+    (False, False, True, True): "unconverged",
+    (False, True, False, False): "unconverged",
+    (False, True, False, True): "unconverged",
+    (False, True, True, False): "unconverged",
+    (False, True, True, True): "unconverged",
+    (True, False, False, False): "stable_semitrivial",
+    (True, False, False, True): "unstable_slot",
+    (True, False, True, False): "stable_semitrivial",
+    (True, False, True, True): "unstable_slot",
+    (True, True, False, False): "full_support_incomplete",
+    (True, True, False, True): "full_support_incomplete",
+    (True, True, True, False): "margin_above_band",
+    (True, True, True, True): "margin_above_band",
+}
+
+#: An input each row of `VERDICT_RULES` decides: (parameters, options, solver
+#: constants patched for the run).
+ROW_INPUTS = {
+    "unconverged": (ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), FAST,
+                    {"MAX_ITERATIONS": 1, "RANDOM_STARTS": 0}),
+    "margin_above_band": (ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0), FAST, {}),
+    # the full solve ends on the support (0, 1, 3), below the level the
+    # restricted multistart found on that support
+    "full_support_incomplete": (ParameterSet.from_json_dict({
+        "d": 4, "N": 3, "lambda": [16.2, 0.787, 1.83, 1.8],
+        "mu": [0.441, 1.06, 0.0831, 7.94],
+        "b": [[0, 20.4, 13.4, 14.9], [20.4, 0, 3.05, 20.1],
+              [13.4, 3.05, 0, 12.8], [14.9, 20.1, 12.8, 0]]}), PhaseOptions(grid_n=150), {}),
+    "stable_semitrivial": (ParameterSet.make([1.0, 1.0], [1.0, 1.0], 0.5), FAST, {}),
+    # just above the switch-on coupling b = mu: the margin is inside the band
+    # and slot 1 of the soliton is unstable
+    "unstable_slot": (ParameterSet.make([1.0, 1.0], [1.0, 1.0], 1.0001, N=1),
+                      PhaseOptions(grid_n=2000), {}),
+}
+
+
+class TestVerdictRules:
+    def test_rows_and_verdicts(self):
+        assert [(name, verdict) for name, verdict, _ in VERDICT_RULES] == [
+            ("unconverged", INCONCLUSIVE),
+            ("margin_above_band", FULLY_NONTRIVIAL),
+            ("full_support_incomplete", INCONCLUSIVE),
+            ("stable_semitrivial", SEMITRIVIAL),
+            ("unstable_slot", INCONCLUSIVE),
+        ]
+
+    @pytest.mark.parametrize("case", list(itertools.product((False, True), repeat=4)),
+                             ids=lambda case: "".join("FT"[x] for x in case))
+    def test_truth_table(self, case):
+        converged, above_band, all_alive, unstable = case
+        facts = VerdictFacts(converged=converged, above_band=above_band, all_alive=all_alive,
+                             unstable_slots=(1,) if unstable else ())
+        holding = [name for name, _, test in VERDICT_RULES if test(facts)]
+        assert holding[0] == VERDICT_TRUTH_TABLE[case]
+        # past the first row the rules partition the cases
+        assert len([name for name in holding if name != "unconverged"]) == 1
+
+    @pytest.mark.parametrize("rule", [name for name, _, _ in VERDICT_RULES])
+    def test_a_real_classify_reaches_every_row(self, monkeypatch, rule):
+        p, opts, patched = ROW_INPUTS[rule]
+        for name, value in patched.items():
+            monkeypatch.setattr(solver, name, value)
+        v = classify(p, opts)
+        assert v.decided_by == rule
+        assert v.verdict == dict((name, verdict) for name, verdict, _ in VERDICT_RULES)[rule]
+
+    def test_every_input_names_a_row(self):
+        assert set(ROW_INPUTS) == {name for name, _, _ in VERDICT_RULES}
+
+    def test_full_support_incomplete_input(self):
+        p, opts, _ = ROW_INPUTS["full_support_incomplete"]
+        v = classify(p, opts)
+        restricted = v.diagnostics["semitrivial"]["levels"]["[0, 1, 3]"]
+        assert v.full_support == (0, 1, 3)
+        assert v.margin > v.diagnostics["margin_tol_abs"]
+        assert v.numeric_full_level < restricted - v.diagnostics["margin_tol_abs"]
+
+    def test_unstable_slot_input(self):
+        p, opts, _ = ROW_INPUTS["unstable_slot"]
+        v = classify(p, opts)
+        assert abs(v.margin) <= v.diagnostics["margin_tol_abs"]
+        assert v.diagnostics["unstable_slots"] == [1] and v.certificate_held
 
 
 #: ``to_json_dict()`` of every predicate report, (applicable, satisfied,
@@ -325,7 +408,9 @@ class TestSweep:
         assert blobs[0] == blobs[1]
         lines = blobs[0].splitlines()
         assert lines[1].startswith("b,full_level,semitrivial_level,margin,verdict")
-        assert len(lines) == 2 + 2
+        assert lines[1].endswith(",decided_by")
+        assert [line.rsplit(",", 1)[1] for line in lines[2:]] == [
+            "stable_semitrivial", "margin_above_band"]
 
     def test_cap_enforced(self):
         # 50 x 41 = 2050 points; the cap is checked before any solve
