@@ -36,7 +36,6 @@ from .solver import (
     minimize_restricted,
     perturbation_certificate,
     semitrivial_level,
-    semitrivial_subsets,
 )
 
 FULLY_NONTRIVIAL = "fully_nontrivial"
@@ -217,9 +216,9 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
              restricted=None) -> PhaseVerdict:
     """Classify a parameter set by `VERDICT_RULES`.
 
-    ``restricted`` maps size-(d-1) supports to `minimize_restricted` results
-    already computed for ``p`` on its grid (`sweep` shares them between
-    points); the other supports are solved here.
+    ``restricted`` maps supports to `minimize_restricted` results already
+    computed for ``p`` on its grid (`sweep` shares the singles between
+    points); `semitrivial_level` solves the other supports it needs.
     """
     if p.d < 2:
         raise ValueError("classification needs d >= 2 (no semitrivial side for d=1)")
@@ -231,7 +230,8 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
 
     # only the best semitrivial minimizer can be the ground state
     unstable_slots = perturbation_certificate(p, semi.results[semi.best_subset])
-    converged = full.converged and all(r.converged for r in semi.results.values())
+    converged = full.converged and all(
+        r.converged for r in [*semi.results.values(), *semi.singles.values()])
     facts = VerdictFacts(converged, margin > margin_abs, len(full.support) == p.d, unstable_slots)
     rule, verdict = next((name, verdict) for name, verdict, test in VERDICT_RULES if test(facts))
 
@@ -241,6 +241,8 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
             "level": semi.level,
             "best_subset": [int(i) for i in semi.best_subset],
             "levels": {str(list(k)): v.level for k, v in sorted(semi.results.items())},
+            "lower_bounds": {str(list(k)): v for k, v in sorted(semi.lower_bounds.items())},
+            "pruned": [list(k) for k in sorted(semi.pruned)],
         },
         "unstable_slots": list(unstable_slots),
         "margin_tol_abs": margin_abs,
@@ -326,9 +328,11 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
 
     ``axes`` is a list of (path, values) with distinct paths (each path is
     one swept parameter).  With no axes the base point alone is classified.  A
-    restricted problem of size d-1 that two or more points share (same
-    support, grid and restricted parameters) is solved once, before the
-    points, and its result is handed to each of them.  With
+    single-equation problem that two or more points share (same support,
+    grid and restricted parameters) is solved once, before the points, and
+    its result is handed to each of them.  Only the singles are shared:
+    every point's support search solves them, whatever its bounds say, while
+    a larger support may be pruned.  With
     ``opts.workers > 1`` both stages run in one process pool of at most one
     worker per point, and points are emitted in input order regardless.
     """
@@ -353,7 +357,7 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
             p = set_parameter(p, path, value)
         params.append(p)
 
-    subsets = semitrivial_subsets(base.d) if base.d >= 2 else []  # classify rejects d = 1
+    subsets = [(i,) for i in range(base.d)] if base.d >= 2 else []  # classify rejects d = 1
     keys = [{subset: _restricted_key(p, subset, opts) for subset in subsets} for p in params]
     uses = Counter(key for point_keys in keys for key in point_keys.values())
     shared = {}  # key -> (p, subset, opts) of the first point that uses it

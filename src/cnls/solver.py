@@ -45,6 +45,22 @@ removes the two slow modes of the H^1 descent: next to the switch-on coupling, w
 component-ratio mode has curvature of order b - mu, and below it, where a
 component that the ground state lacks would drain toward 0 at H^1 speed.
 
+The semitrivial level is the minimum of c(I) over the supports I of size
+d-1, found by a support search (`semitrivial_level`).  The d singles are
+solved first; with their unit levels c_i = mu_i c({i}) and
+C_ij = B_ij / sqrt(c_i c_j), B holding mu on its diagonal and b off it,
+every field on the discrete Nehari set with support I has level at least
+L_I = 1 / F(C_II), F the simplex maximum (the synchronized reduction again;
+both steps are weighted Cauchy-Schwarz, so the bound holds on the grid once
+c_i is the discrete single minimum).  The supports are taken in ascending
+L_I, branch and bound over the support lattice (Land and Doig, Econometrica
+28 (1960)): a support whose bound lies above the best level so far,
+outside its tie band, is pruned, and one whose bound is met by the level of
+a single inside it takes that single's result unsolved.  Both steps need the bound, so they run only
+while every single converged within RESOLUTION_TOL of its continuum level
+`UNIT_LEVEL` and no solved level falls below its bound; otherwise every
+support is solved.
+
 No global-optimality claim is made: the returned level is the best local
 minimum over a deterministic multistart inventory (`_multistart`: the
 soliton start, any seeded starts, then RANDOM_STARTS random starts seeded by
@@ -65,7 +81,13 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg import cho_solve_banded  # noqa: F401  (perfbench/tracing.py wraps this name)
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .functional import action_parts_raw, gradient_raw, nehari_raw, simplex_qp_kernel
+from .functional import (
+    action_parts_raw,
+    gradient_raw,
+    nehari_raw,
+    simplex_qp_kernel,
+    simplex_qp_max,
+)
 from .grid import MultiField, RadialGrid, operator_tridiag
 from .params import ParameterSet, index_set
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -111,6 +133,23 @@ LBFGS_MEMORY = 5
 #: which keeps the L-BFGS inverse Hessian positive definite.
 CURVATURE_MIN = 1e-10
 
+#: Level of the single equation -Laplace w + w = w^3 on R^N in the grid's
+#: measure (s_N r^(N-1) dr): 4/3 for N = 1 exactly, N = 2 and 3 by shooting
+#: the radial ODE (perfbench keeps a copy, which its `test_unit_levels`
+#: re-shoots to 1e-10).  Scaling gives c(lambda, mu) = lambda^((4-N)/2) /
+#: mu * UNIT_LEVEL[N] in the continuum.
+UNIT_LEVEL = {1: 4.0 / 3.0, 2: 5.850448262261, 3: 18.897251302546}
+
+#: The support search prunes only when every discrete single level lies
+#: within this relative distance of its continuum value: the lower bound
+#: rests on the singles being the discrete minima of a resolved grid.
+RESOLUTION_TOL = 1e-3
+
+#: Relative slack of the support search's comparisons with a lower bound,
+#: far above the roundoff of the bound and far below any level gap that
+#: decides a verdict.
+BOUND_TOL = 1e-10
+
 #: Seeded random starts per multistart, on top of the deterministic ones,
 #: and the seed they are drawn from.
 RANDOM_STARTS = 2
@@ -153,11 +192,16 @@ class GroundStateResult:
 
 @dataclass(frozen=True)
 class SemitrivialResult:
-    """Best level over the size-(d-1) supports, with per-support results."""
+    """Best level over the size-(d-1) supports: the results of the supports
+    the search solved or closed by a single, the single results by index,
+    the lower bound of every size-(d-1) support and the pruned supports."""
 
     level: float
     best_subset: tuple
     results: dict
+    singles: dict
+    lower_bounds: dict
+    pruned: tuple
 
 
 def soliton_profile(grid: RadialGrid, lam, mu):
@@ -232,10 +276,11 @@ class _Pairs:
 class _Descent:
     """Shared machinery for the descents of one multistart at fixed
     (parameters, grid): the preconditioner is factored once, and the L-BFGS
-    ring buffers, the two weighted-gradient buffers and the workspace of
-    the action kernels (three (d, n+1) arrays that `gradient_raw` and
-    `action_parts_raw` compute into) are allocated once, for all starts, so
-    an iteration allocates no array of the grid's size."""
+    ring buffers, the two weighted-gradient buffers, the workspace of the
+    action kernels (three (d, n+1) arrays that `gradient_raw` and
+    `action_parts_raw` compute into) and the three (d, n+1) run buffers of
+    `run` are allocated once, for all starts, so neither a start nor an
+    iteration allocates an array of the grid's size."""
 
     def __init__(self, p: ParameterSet, grid: RadialGrid):
         self.p = p
@@ -244,6 +289,7 @@ class _Descent:
         self._rhs = [np.empty((p.d, grid.n)) for _ in range(2)]
         self._pairs = _Pairs(p.d, grid.n)
         self._work = np.empty((3, p.d, grid.n + 1))
+        self._run = np.zeros((3, p.d, grid.n + 1))
 
     def _direction(self, rhs):
         """The L-BFGS direction H rhs on the free nodes and <rhs, H rhs>,
@@ -324,15 +370,19 @@ class _Descent:
         is below one ulp of the level, and at alpha = 1e-16 at the latest.
         A descent that finds no lower trial ends there, at the roundoff
         floor of the merit.  The iterate, the previous iterate and the trial
-        live in three zeroed buffers of the run that swap roles by
-        reference; a trial is built on the free nodes only, so the Dirichlet
-        node of every buffer stays 0.
+        live in the three run buffers of the descent, zeroed once, which
+        swap roles by reference; a trial is built on the free nodes only,
+        so the Dirichlet node of every buffer stays 0.  Each buffer is
+        written on the free nodes before it is read.
 
         Returns (values, iterations, grad_norm, converged) or None when the
-        start cannot be projected onto the constraint set.
+        start cannot be projected onto the constraint set.  ``values`` is a
+        run buffer, which the next run overwrites; `finalize` measures it
+        into a new array.
         """
         p, g, n = self.p, self.grid, self.grid.n
-        u = np.maximum(u0, 0.0)
+        u, u_old, cand = self._run
+        np.maximum(u0, 0.0, out=u)
         u[:, -1] = 0.0
         proj = self._parts(u)[2]
         if proj is None:
@@ -342,7 +392,6 @@ class _Descent:
         eps = np.finfo(float).eps
         pairs = self._pairs
         pairs.clear()
-        u_old, cand = np.zeros_like(u), np.zeros_like(u)
         rhs_old = None  # the weighted gradient at u_old, when a pair is due
         step = INITIAL_STEP
         converged = False  # the loop runs at least once (MAX_ITERATIONS >= 1)
@@ -539,58 +588,103 @@ def semitrivial_subsets(d):
 
 
 def semitrivial_level(p: ParameterSet, grid: RadialGrid, solved=None) -> SemitrivialResult:
-    """Minimum ground-state level over the d supports of size d-1.
+    """Minimum ground-state level over the d supports of size d-1, by a
+    support search.
 
     Supports of smaller size are dominated by feasible-set inclusion
     (c(I') <= c(I) for I inside I'), so size d-1 suffices.  ``solved`` maps
     supports to `minimize_restricted` results already computed for ``p`` on
-    ``grid``; the other supports are solved here.
+    ``grid``; the other supports this needs are solved here.
+
+    The d singles (i,) come first; the lowest single level is the first
+    best level, since every single lies in some support.  Each size-(d-1)
+    support I gets its lower bound L_I (module docstring) and the supports
+    are taken in ascending (L_I, I).  While the bound can be trusted, a
+    support is pruned when even L_I (1 - BOUND_TOL) lies above the best
+    level outside its `_tied` band: its level can neither win nor tie, so
+    the pruning never changes ``best_subset``.  A support holding a single i
+    with c({i}) <= L_I (1 + BOUND_TOL) takes that single's result without a
+    solve, since c({i}) >= c(I) >= L_I.  Any other support is solved, and a
+    support in hand (in ``solved``, or a single when d = 2) is never
+    pruned.  The bound is trusted when every single converged and
+    lies within RESOLUTION_TOL of lambda_i^((4-N)/2) / mu_i UNIT_LEVEL[N],
+    and stops being trusted for the rest of the call once a level falls
+    below its bound by more than BOUND_TOL relative.
 
     Inclusion guard: a restricted minimizer of I can settle on the soliton
-    of another component than i*, the member of I with the lowest
-    single-equation level lambda^((4-N)/2) / mu.  Then (i*,) is solved once,
-    shared between supports, and replaces the result of I when `_better`
-    prefers it (lower level, or a tied level and a smaller support), which is
-    sound because c(I) <= c({i*}).
+    of another component than i*, the member of I with the lowest single
+    level.  Then the single result of i* replaces it when `_better` prefers
+    it (lower level, or a tied level and a smaller support), which is sound
+    because c(I) <= c({i*}).
     """
     if p.d < 2:
         raise ValueError("semitrivial levels need d >= 2")
     solved = solved or {}
-    single_level = p.lam ** ((4.0 - p.N) / 2.0) / p.mu
+
+    def in_hand(support):
+        res = solved.get(support)
+        if res is not None and res.fields.grid.key != grid.key:
+            raise ValueError(f"result for support {support} was solved on another grid")
+        return res
+
     singles = {}
-    results = {}
-    for subset in semitrivial_subsets(p.d):
-        res = solved.get(subset)
+    for i in range(p.d):
+        res = in_hand((i,))
+        singles[i] = minimize_restricted(p, (i,), grid) if res is None else res
+    unit = p.mu * np.array([singles[i].level for i in range(p.d)])
+    B = p.b.copy()
+    np.fill_diagonal(B, p.mu)
+    C = B / np.sqrt(np.outer(unit, unit))
+    bounds = {subset: 1.0 / simplex_qp_max(C[np.ix_(subset, subset)])[0]
+              for subset in semitrivial_subsets(p.d)}
+    continuum = p.lam ** ((4.0 - p.N) / 2.0) * UNIT_LEVEL[p.N]
+    trusted = (all(res.converged for res in singles.values())
+               and float(np.abs(unit / continuum - 1.0).max()) <= RESOLUTION_TOL)
+
+    best_level = min(res.level for res in singles.values())
+    results, pruned = {}, []
+    for subset in sorted(bounds, key=lambda s: (bounds[s], s)):
+        bound = bounds[subset]
+        lowest = min(subset, key=lambda i: (singles[i].level, i))
+        single = singles[lowest]
+        res = single if len(subset) == 1 else in_hand(subset)
+        if res is None and trusted:
+            floor = bound * (1.0 - BOUND_TOL)  # the least level the bound allows
+            if floor > best_level and not _tied(floor, best_level):
+                pruned.append(subset)
+                continue
+            if single.level <= bound * (1.0 + BOUND_TOL):
+                res = single
         if res is None:
             res = minimize_restricted(p, subset, grid)
-        elif res.fields.grid.key != grid.key:
-            raise ValueError(f"result for support {subset} was solved on another grid")
-        lowest = min(subset, key=lambda i: single_level[i])
-        if lowest not in res.support:
-            if lowest not in singles:
-                singles[lowest] = minimize_restricted(p, (lowest,), grid)
-            single = singles[lowest]
-            if _better((single.level, single.support), (res.level, res.support)):
-                res = single
+        if res.level < bound * (1.0 - BOUND_TOL):
+            trusted = False
+        if lowest not in res.support and _better((single.level, single.support),
+                                                 (res.level, res.support)):
+            res = single
         results[subset] = res
+        best_level = min(best_level, res.level)
+
     best_subset = None
     for subset, res in sorted(results.items()):
         if best_subset is None or _better((res.level, subset), (best.level, best_subset)):
             best_subset, best = subset, res
-    return SemitrivialResult(level=best.level, best_subset=best_subset, results=results)
+    return SemitrivialResult(level=best.level, best_subset=best_subset, results=results,
+                             singles=singles, lower_bounds=bounds, pruned=tuple(pruned))
 
 
 def ground_state(p: ParameterSet, grid: RadialGrid,
                  semitrivial: SemitrivialResult = None) -> GroundStateResult:
     """Best level over the full multistart inventory.
 
-    For d = 1 this is the plain `_multistart` of ``p``.  Otherwise each
-    size-(d-1) semitrivial minimizer, bare and with SEMITRIVIAL_EPS times the
-    soliton profile added in the missing slot, is seeded into `_multistart`
-    between its soliton start and its random starts.  The bare semitrivial
-    starts guarantee the returned level never exceeds the semitrivial level
-    by more than solver noise.  The level is an upper approximation of the
-    true ground-state level.
+    For d = 1 this is the plain `_multistart` of ``p``.  Otherwise the
+    minimizer of each support in ``semitrivial.results``, bare and with
+    SEMITRIVIAL_EPS times the soliton profile added in the missing slot, is
+    seeded into `_multistart` between its soliton start and its random
+    starts; a support that the search pruned seeds nothing.  The bare
+    semitrivial starts include the best one, so the returned level never
+    exceeds the semitrivial level by more than solver noise.  The level is
+    an upper approximation of the true ground-state level.
     """
     if p.d == 1:
         return _multistart(p, grid)

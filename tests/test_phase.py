@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,33 @@ class TestClassify:
         v = classify(ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0), FAST)
         blob = json.loads(json.dumps(v.to_json_dict(), sort_keys=True))
         assert (blob["verdict"], blob["decided_by"]) == ("fully_nontrivial", "margin_above_band")
+        semi = blob["diagnostics"]["semitrivial"]
+        # at d = 2 both singles are solved, and each is its own lower bound
+        assert semi["pruned"] == [] and sorted(semi["levels"]) == ["[0]", "[1]"]
+        for key, bound in semi["lower_bounds"].items():
+            assert bound == pytest.approx(semi["levels"][key], rel=1e-14)
+
+    def test_an_unconverged_single_is_an_unconverged_solve(self, monkeypatch):
+        # no support's result is the single (2,), but the search rests on it
+        p = ParameterSet.make([1.0, 1.1, 1.2], [1.0, 1.0, 1.0], 0.3)
+        real = solver.minimize_restricted
+
+        def unconverged(p, support, grid):
+            res = real(p, support, grid)
+            return replace(res, converged=False) if support == (2,) else res
+
+        monkeypatch.setattr(solver, "minimize_restricted", unconverged)
+        v = classify(p, PhaseOptions(grid_n=600))
+        assert not v.diagnostics["solver_converged"] and v.decided_by == "unconverged"
+
+    def test_diagnostics_list_bounds_of_every_support_and_levels_of_the_solved(self):
+        p = ParameterSet.make([1.0, 1.1, 1.2], [1.0, 1.0, 1.0], 0.3)
+        semi = classify(p, PhaseOptions(grid_n=600)).diagnostics["semitrivial"]
+        assert sorted(semi["lower_bounds"]) == ["[0, 1]", "[0, 2]", "[1, 2]"]
+        # below the small-coupling bound the support without component 0
+        # cannot reach the single level of component 0
+        assert semi["pruned"] == [[1, 2]]
+        assert sorted(semi["levels"]) == ["[0, 1]", "[0, 2]"]
 
 
 #: The row of `VERDICT_RULES` that decides each (converged, margin above the
@@ -244,8 +272,14 @@ class TestVerdictRules:
         assert set(ROW_INPUTS) == {name for name, _, _ in VERDICT_RULES}
 
     def test_full_support_incomplete_input(self):
+        # the grid is too coarse for the support search's bound: every
+        # support is solved, and the levels are those of solving each one
         p, opts, _ = ROW_INPUTS["full_support_incomplete"]
         v = classify(p, opts)
+        assert v.diagnostics["semitrivial"]["pruned"] == []
+        assert len(v.diagnostics["semitrivial"]["levels"]) == p.d
+        assert v.numeric_full_level == pytest.approx(1.361730797318959, rel=1e-12)
+        assert v.numeric_semitrivial_level == pytest.approx(1.6048488283670368, rel=1e-12)
         restricted = v.diagnostics["semitrivial"]["levels"]["[0, 1, 3]"]
         assert v.full_support == (0, 1, 3)
         assert v.margin > v.diagnostics["margin_tol_abs"]
@@ -472,12 +506,21 @@ class TestSweepSharesRestrictedSolves:
         assert sorted(restricted_calls) == [(0,), (1,)]
 
     def test_changed_grid_is_a_different_problem(self, restricted_calls):
-        # R = 20/sqrt(lambda_min) follows lambda[2] < 1, so even the support
-        # (0, 1), which does not see lambda[2], is a new problem at each point
+        # R = 20/sqrt(lambda_min) follows lambda[2] < 1, so even the singles
+        # (0,) and (1,), which do not see lambda[2], are new problems at each
+        # point: 3 singles per point, and the supports (0, 2) and (1, 2)
+        # holding the lowest single; (0, 1) is pruned (every single is
+        # within 9.8e-4 of its continuum level, so the search prunes)
         base = ParameterSet.make([1.0, 1.0, 1.5], [1.0] * 3, 2.0)
         axes = [("lambda[2]", [0.6, 0.7, 0.8])]
         sweep(base, axes, PhaseOptions(grid_n=200))
-        assert len(restricted_calls) == 9
+        assert len(restricted_calls) == 15
+        assert (0, 1) not in restricted_calls
+
+    def test_triple_b_sweep_solves_each_single_once(self, restricted_calls):
+        base = ParameterSet.make([1.0, 1.1, 1.2], [1.0, 0.9, 1.1], 1.0, N=2)
+        sweep(base, [("b", [0.3, 2.0, 3.0])], PhaseOptions(grid_n=600))
+        assert sorted(s for s in restricted_calls if len(s) == 1) == [(0,), (1,), (2,)]
 
     @pytest.mark.parametrize("case", [PAIR_B_SWEEP, TRIPLE_TWO_AXES], ids=["pair-b", "triple-2axes"])
     @pytest.mark.parametrize("workers", [1, 2])

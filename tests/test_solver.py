@@ -11,14 +11,17 @@ from cnls.functional import action, action_parts_raw
 from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, operator_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
+    BOUND_TOL,
     CURVATURE_MIN,
     LBFGS_MEMORY,
     LEVEL_TIE_TOL,
     SEED,
     SEMITRIVIAL_EPS,
     THETA_TRIV,
+    UNIT_LEVEL,
     _Descent,
     _Pairs,
+    _better,
     _dot,
     _multistart,
     _random_start,
@@ -27,6 +30,7 @@ from cnls.solver import (
     minimize_restricted,
     perturbation_certificate,
     semitrivial_level,
+    semitrivial_subsets,
     soliton_profile,
 )
 
@@ -187,21 +191,34 @@ class TestDescent:
         assert desc._weigh(second)[0] is not rhs
         assert np.array_equal(rhs, kept)
 
-    def test_a_later_start_leaves_the_returned_values_alone(self):
+    def test_a_later_start_leaves_the_finalized_values_alone(self):
+        # run returns one of the descent's run buffers; finalize measures it
+        # into a new array, which the next start must not touch
         g = RadialGrid.make(1, 20.0, 300)
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
         desc = _Descent(p, g)
-        values = desc.run(_random_start(p, g, np.random.default_rng(1)))[0]
+        values = desc.finalize(desc.run(_random_start(p, g, np.random.default_rng(1)))[0])[0]
         kept = values.copy()
         desc.run(_random_start(p, g, np.random.default_rng(2)))
         assert np.array_equal(values, kept)
 
+    def test_run_buffers_give_the_results_of_fresh_buffers(self):
+        # the second start of a descent reuses the buffers of the first
+        g = RadialGrid.make(2, 20.0, 400)
+        p = ParameterSet.make([1.0, 1.2, 1.1], [1.0, 0.9, 1.1], 2.0, N=2)
+        starts = [_random_start(p, g, np.random.default_rng(k)) for k in (1, 2)]
+        shared = _Descent(p, g)
+        for start in starts:
+            values, iterations, gnorm, converged = shared.run(start)
+            fresh = _Descent(p, g).run(start)
+            assert np.array_equal(values, fresh[0]) and (iterations, gnorm) == fresh[1:3]
+
     def test_an_iteration_allocates_no_field_sized_array(self, monkeypatch):
         # the peak above the start of a 10-iteration descent, in (d, n+1)
-        # arrays: the run's three buffers (iterate, previous iterate, trial)
-        # and one numpy iterator buffer.  Fresh kernel temporaries would add
-        # about seven arrays, and a whole-array multiply of the strided free
-        # nodes in `_weigh` or `_Pairs.add` two numpy iterator buffers
+        # arrays: one numpy iterator buffer.  Fresh run buffers (iterate,
+        # previous iterate, trial) would add three arrays, fresh kernel
+        # temporaries about seven, and a whole-array multiply of the strided
+        # free nodes in `_weigh` or `_Pairs.add` two numpy iterator buffers
         g = RadialGrid.make(2, 20.0, 2000)
         p = ParameterSet.make([1.0, 1.1, 1.2], [1.0, 1.0, 1.0], 3.0, N=2)
         start = _random_start(p, g, np.random.default_rng([SEED, 0]))
@@ -220,7 +237,7 @@ class TestDescent:
             if not tracing:
                 tracemalloc.stop()
         assert iterations == 10
-        assert peak <= 5 * p.d * (g.n + 1) * 8
+        assert peak <= 2 * p.d * (g.n + 1) * 8
 
     def test_non_finite_gradient_raises(self, grid, monkeypatch):
         monkeypatch.setattr(cnls.solver, "gradient_raw",
@@ -619,30 +636,145 @@ class TestSemitrivialLevel:
          0.35637753525436583, 3),
     ], ids=["seed6-pass2", "seed8-pass5"])
     def test_inclusion_guard_finds_the_lowest_component(self, lam, mu, b, N):
-        # below the small-coupling bound c(I) is the lowest single level in I
+        # below the small-coupling bound c(I) is the lowest single level in I;
+        # on this resolved grid the search closes every support holding the
+        # lowest single by that single, and solves none of them
         p = ParameterSet.make(lam, mu, b, N=N)
         g = RadialGrid.make(N, default_radius(min(lam)), 1000)
         semi = semitrivial_level(p, g)
-        lowest = int(np.argmin(p.lam ** ((4.0 - N) / 2.0) / p.mu))
+        lowest = min(range(p.d), key=lambda i: semi.singles[i].level)
         single = minimize_restricted(p, (lowest,), g)
+        assert semi.singles[lowest].level == single.level
         assert semi.level == pytest.approx(single.level, rel=LEVEL_TIE_TOL)
-        for subset, res in semi.results.items():
+        for subset in semitrivial_subsets(p.d):
             if lowest in subset:
-                assert res.support == (lowest,)
+                assert semi.results[subset] is semi.singles[lowest]
 
     def test_inclusion_guard_replaces_a_restricted_result(self):
         # wide_system seed 2 pass 0, d3-N3-low, rounded: on this grid the
         # (0, 1) solve settles on component 1 (level 17.874), above the
-        # single level of component 0 (17.820), so the guard swaps them
+        # single level of component 0 (17.820), so the guard swaps them; the
+        # grid is too coarse for the bound, so every support is solved
         p = ParameterSet.make([1.078, 1.037, 1.069], [1.078, 1.055, 0.964], 0.352, N=3)
         g = RadialGrid.make(3, default_radius(1.037), 200)
         assert minimize_restricted(p, (0, 1), g).support == (1,)
         single = minimize_restricted(p, (0,), g)
         semi = semitrivial_level(p, g)
+        assert semi.pruned == () and sorted(semi.results) == semitrivial_subsets(3)[::-1]
         guarded = semi.results[(0, 1)]
+        assert guarded is semi.singles[0]
         assert guarded.support == (0,) and guarded.level == single.level
         assert np.array_equal(guarded.fields.values, single.fields.values)
         assert semi.best_subset == (0, 1)
+
+
+def _search_draw(seed):
+    """A resolved draw for the support search: d 3-5, N 1-3, lambda on
+    [1, 1.5], mu on [0.5, 2], non-constant b on [0.1, 3], and n so that
+    every single lies within RESOLUTION_TOL of its continuum level."""
+    rng = np.random.default_rng(seed)
+    d, N = 3 + seed % 3, int(rng.integers(1, 4))
+    lam, mu = rng.uniform(1.0, 1.5, d), rng.uniform(0.5, 2.0, d)
+    upper = np.triu(rng.uniform(0.1, 3.0, (d, d)), 1)
+    p = ParameterSet.make(lam, mu, upper + upper.T, N=N)
+    return p, RadialGrid.make(N, default_radius(lam.min()), {1: 600, 2: 800, 3: 1500}[N])
+
+
+class TestSupportSearch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_search_agrees_with_solving_every_support(self, seed):
+        p, g = _search_draw(seed)
+        semi = semitrivial_level(p, g)
+        unit = p.mu * np.array([semi.singles[i].level for i in range(p.d)])
+        assert np.abs(unit / (p.lam ** ((4.0 - p.N) / 2.0) * UNIT_LEVEL[p.N]) - 1.0).max() <= 1e-3
+        assert sorted(semi.lower_bounds) == sorted(semitrivial_subsets(p.d))
+        assert set(semi.pruned).isdisjoint(semi.results)
+        assert set(semi.pruned) | set(semi.results) == set(semi.lower_bounds)
+        direct = {}
+        for subset in semitrivial_subsets(p.d):
+            res = minimize_restricted(p, subset, g)
+            # the synchronized lower bound holds on a resolved grid
+            assert res.level >= semi.lower_bounds[subset] * (1.0 - BOUND_TOL)
+            lowest = min(subset, key=lambda i: semi.singles[i].level)
+            single = semi.singles[lowest]
+            if lowest not in res.support and _better((single.level, single.support),
+                                                     (res.level, res.support)):
+                res = single
+            direct[subset] = res
+        for subset in semi.pruned:
+            assert direct[subset].level > semi.level
+        best = None
+        for subset, res in sorted(direct.items()):
+            if best is None or _better((res.level, subset), (direct[best].level, best)):
+                best = subset
+        assert semi.best_subset == best
+        assert semi.level == pytest.approx(direct[best].level, rel=1e-12)
+
+    def test_the_draws_prune(self):
+        # every draw above prunes at least one support
+        for seed in range(6):
+            p, g = _search_draw(seed)
+            assert semitrivial_level(p, g).pruned
+
+    def test_pair_solves_both_singles_and_prunes_nothing(self, grid):
+        p = ParameterSet.make([1.0, 1.3], [1.0, 0.8], 0.5)
+        semi = semitrivial_level(p, grid)
+        assert semi.pruned == ()
+        assert semi.results == {(0,): semi.singles[0], (1,): semi.singles[1]}
+        for i in range(2):
+            assert semi.lower_bounds[(i,)] == pytest.approx(semi.singles[i].level, rel=1e-14)
+
+    def test_supports_in_hand_are_never_pruned(self):
+        p, g = _search_draw(0)
+        semi = semitrivial_level(p, g)
+        handed = {subset: minimize_restricted(p, subset, g) for subset in semi.pruned}
+        again = semitrivial_level(p, g, handed)
+        assert again.pruned == ()
+        for subset, res in handed.items():
+            assert again.results[subset] is res
+        assert (again.level, again.best_subset) == (semi.level, semi.best_subset)
+
+    def test_an_unconverged_single_turns_the_search_off(self, monkeypatch):
+        p, g = _search_draw(0)
+        real = minimize_restricted
+
+        def unconverged_singles(p, support, grid):
+            res = real(p, support, grid)
+            return replace(res, converged=False) if len(support) == 1 else res
+
+        monkeypatch.setattr(cnls.solver, "minimize_restricted", unconverged_singles)
+        semi = semitrivial_level(p, g)
+        assert semi.pruned == () and sorted(semi.results) == sorted(semitrivial_subsets(p.d))
+
+    def test_a_level_below_its_bound_turns_the_search_off(self, monkeypatch):
+        # a solved level under its bound shows the bound cannot be trusted:
+        # every support after it is solved
+        p, g = _search_draw(0)
+        real = minimize_restricted
+
+        def low(p, support, grid):
+            res = real(p, support, grid)
+            return replace(res, level=0.5 * res.level) if len(support) > 1 else res
+
+        monkeypatch.setattr(cnls.solver, "minimize_restricted", low)
+        semi = semitrivial_level(p, g)
+        assert semi.pruned == () and sorted(semi.results) == sorted(semitrivial_subsets(p.d))
+
+
+class TestUnitLevel:
+    def test_one_dimensional_level_is_four_thirds(self):
+        assert UNIT_LEVEL[1] == 4.0 / 3.0
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_discrete_single_level_converges_at_second_order(self, N):
+        # the discrete level at lambda = mu = 1 approaches UNIT_LEVEL[N] as
+        # h^2: halving h divides the error by about 4
+        p = ParameterSet.make([1.0], [1.0], 0.0, N=N)
+        errors = [ground_state(p, RadialGrid.make(N, 20.0, n)).level / UNIT_LEVEL[N] - 1.0
+                  for n in (500, 1000, 2000)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.8 <= coarse / fine <= 4.2
+        assert abs(errors[-1]) <= 1e-3
 
 
 class TestGroundState:
