@@ -19,14 +19,13 @@ from .params import ParameterSet, small_b_bound
 from .phase import FULLY_NONTRIVIAL, MARGIN_TOL, SEMITRIVIAL, PhaseOptions, build_grid, classify
 from .reduction import lift_ground_state, reduce_system
 from .solver import (
+    UNIT_LEVEL,
     ground_state,
     minimize_restricted,
     perturbation_certificate,
     semitrivial_subsets,
     soliton_profile,
 )
-
-SINGLE_LEVEL = 4.0 / 3.0  # (4/3) lambda^(3/2) / mu at lambda = mu = 1, N = 1
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,9 @@ def criterion_01_single_equation_level():
     p = ParameterSet.make([1.0], [1.0], 0.0, N=1)
     g = RadialGrid.make(1, 20.0, 4000)
     res = ground_state(p, g)
-    rel = abs(res.level - SINGLE_LEVEL) / SINGLE_LEVEL
+    rel = abs(res.level - UNIT_LEVEL[1]) / UNIT_LEVEL[1]
     return rel <= 1e-3 and res.converged, (
-        f"level={res.level:.8f} target={SINGLE_LEVEL:.8f} rel_err={rel:.2e}"
+        f"level={res.level:.8f} target={UNIT_LEVEL[1]:.8f} rel_err={rel:.2e}"
     )
 
 

@@ -213,17 +213,17 @@ def evaluate_predicates(p: ParameterSet):
 
 
 def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
-             restricted=None) -> PhaseVerdict:
+             singles=None) -> PhaseVerdict:
     """Classify a parameter set by `VERDICT_RULES`.
 
-    ``restricted`` maps supports to `minimize_restricted` results already
-    computed for ``p`` on its grid (`sweep` shares the singles between
-    points); `semitrivial_level` solves the other supports it needs.
+    ``singles`` is None or the d results of `minimize_restricted` (p, (i,),
+    grid) on the grid of ``p``, in component order (`sweep` shares them
+    between points); it goes to `semitrivial_level` as it is.
     """
     if p.d < 2:
         raise ValueError("classification needs d >= 2 (no semitrivial side for d=1)")
     grid = build_grid(p, opts)
-    semi = semitrivial_level(p, grid, restricted)
+    semi = semitrivial_level(p, grid, singles)
     full = ground_state(p, grid, semitrivial=semi)
     margin = semi.level - full.level
     margin_abs = MARGIN_TOL * max(abs(semi.level), 1e-300)
@@ -231,7 +231,7 @@ def classify(p: ParameterSet, opts: PhaseOptions = PhaseOptions(),
     # only the best semitrivial minimizer can be the ground state
     unstable_slots = perturbation_certificate(p, semi.results[semi.best_subset])
     converged = full.converged and all(
-        r.converged for r in [*semi.results.values(), *semi.singles.values()])
+        r.converged for r in [*semi.results.values(), *semi.singles])
     facts = VerdictFacts(converged, margin > margin_abs, len(full.support) == p.d, unstable_slots)
     rule, verdict = next((name, verdict) for name, verdict, test in VERDICT_RULES if test(facts))
 
@@ -303,38 +303,31 @@ class SweepPoint:
     verdict: PhaseVerdict
 
 
-def _restricted_key(p: ParameterSet, subset, opts: PhaseOptions):
-    """Everything `minimize_restricted` reads for ``subset`` of ``p`` at the
-    fixed options of a sweep: the grid, the subsystem `ParameterSet.restrict`
-    gives (the one the solver minimizes, with starts that depend on it
-    alone) and the support, since the result is embedded at the support's
-    rows of ``p``."""
-    sub = p.restrict(subset)
-    return (subset, _grid_key(p, opts), sub.lam.tobytes(),
-            sub.mu.tobytes(), sub.b.tobytes())
+# The two pool tasks stay module-level functions that look `minimize_restricted`
+# and `classify` up when they run: a process pool pickles the function it maps
+# by reference, and a traced run (perfbench's `tracing.Tracer.wrap`) replaces
+# `phase.classify` with a local wrapper, which cannot be pickled, so mapping
+# `classify` itself would break the traced sweep.
+def _solve_single(p: ParameterSet, i, opts: PhaseOptions):
+    return minimize_restricted(p, (i,), build_grid(p, opts))
 
 
-def _solve_restricted(args):
-    p, subset, opts = args
-    return minimize_restricted(p, subset, build_grid(p, opts))
-
-
-def _classify_sweep_point(args):
-    return classify(*args)
+def _classify_sweep_point(p: ParameterSet, opts: PhaseOptions, singles):
+    return classify(p, opts, singles)
 
 
 def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
     """Classify the cartesian product of the axes (row-major, deterministic).
 
     ``axes`` is a list of (path, values) with distinct paths (each path is
-    one swept parameter).  With no axes the base point alone is classified.  A
-    single-equation problem that two or more points share (same support,
-    grid and restricted parameters) is solved once, before the points, and
-    its result is handed to each of them.  Only the singles are shared:
-    every point's support search solves them, whatever its bounds say, while
-    a larger support may be pruned.  With
-    ``opts.workers > 1`` both stages run in one process pool of at most one
-    worker per point, and points are emitted in input order regardless.
+    one swept parameter).  With no axes the base point alone is classified.
+    Every distinct single (i,) is solved once, before the points, and each
+    point gets its d singles in component order: every point's support
+    search needs them, whatever its bounds say.  A single is fixed by (i,
+    grid, lambda_i, mu_i), since the single equation sees no coupling and
+    its result is embedded at row i.  With ``opts.workers > 1`` both stages
+    run in one process pool of at most one worker per point, and points are
+    emitted in input order regardless.
     """
     axes = [(str(path), [as_float(v, f"axis {path!r} value") for v in values])
             for path, values in axes]
@@ -357,25 +350,22 @@ def sweep(base: ParameterSet, axes, opts: PhaseOptions = PhaseOptions()):
             p = set_parameter(p, path, value)
         params.append(p)
 
-    subsets = [(i,) for i in range(base.d)] if base.d >= 2 else []  # classify rejects d = 1
-    keys = [{subset: _restricted_key(p, subset, opts) for subset in subsets} for p in params]
-    uses = Counter(key for point_keys in keys for key in point_keys.values())
-    shared = {}  # key -> (p, subset, opts) of the first point that uses it
+    components = range(base.d) if base.d >= 2 else ()  # classify rejects d = 1
+    keys = [[(i, _grid_key(p, opts), float(p.lam[i]), float(p.mu[i])) for i in components]
+            for p in params]
+    first = {}  # key -> the first point that uses it
     for p, point_keys in zip(params, keys):
-        for subset, key in point_keys.items():
-            if uses[key] > 1:
-                shared.setdefault(key, (p, subset, opts))
+        for key in point_keys:
+            first.setdefault(key, p)
 
     pool_size = min(opts.workers, len(params))
     parallel = pool_size > 1
     with ProcessPoolExecutor(max_workers=pool_size) if parallel else nullcontext() as pool:
         run = pool.map if parallel else map
-        solved = dict(zip(shared, run(_solve_restricted, shared.values())))
-        tasks = [
-            (p, opts, {subset: solved[key] for subset, key in point_keys.items() if key in solved})
-            for p, point_keys in zip(params, keys)
-        ]
-        verdicts = list(run(_classify_sweep_point, tasks))
+        solved = dict(zip(first, run(_solve_single, first.values(),
+                                     [key[0] for key in first], [opts] * len(first))))
+        singles = [tuple(solved[key] for key in point_keys) for point_keys in keys]
+        verdicts = list(run(_classify_sweep_point, params, [opts] * len(params), singles))
     return [
         SweepPoint(values=dict(assignments), verdict=v)
         for assignments, v in zip(points, verdicts)

@@ -193,13 +193,14 @@ class GroundStateResult:
 @dataclass(frozen=True)
 class SemitrivialResult:
     """Best level over the size-(d-1) supports: the results of the supports
-    the search solved or closed by a single, the single results by index,
-    the lower bound of every size-(d-1) support and the pruned supports."""
+    the search solved or closed by a single, the d single results in
+    component order, the lower bound of every size-(d-1) support and the
+    pruned supports."""
 
     level: float
     best_subset: tuple
     results: dict
-    singles: dict
+    singles: tuple
     lower_bounds: dict
     pruned: tuple
 
@@ -587,26 +588,26 @@ def semitrivial_subsets(d):
     return [tuple(i for i in range(d) if i != missing) for missing in range(d)]
 
 
-def semitrivial_level(p: ParameterSet, grid: RadialGrid, solved=None) -> SemitrivialResult:
+def semitrivial_level(p: ParameterSet, grid: RadialGrid, singles=None) -> SemitrivialResult:
     """Minimum ground-state level over the d supports of size d-1, by a
     support search.
 
     Supports of smaller size are dominated by feasible-set inclusion
-    (c(I') <= c(I) for I inside I'), so size d-1 suffices.  ``solved`` maps
-    supports to `minimize_restricted` results already computed for ``p`` on
-    ``grid``; the other supports this needs are solved here.
+    (c(I') <= c(I) for I inside I'), so size d-1 suffices.  ``singles`` is
+    None or the d results of `minimize_restricted` (p, (i,), grid) in
+    component order (`sweep` shares them between points); with None they
+    are solved here.
 
-    The d singles (i,) come first; the lowest single level is the first
-    best level, since every single lies in some support.  Each size-(d-1)
-    support I gets its lower bound L_I (module docstring) and the supports
-    are taken in ascending (L_I, I).  While the bound can be trusted, a
-    support is pruned when even L_I (1 - BOUND_TOL) lies above the best
-    level outside its `_tied` band: its level can neither win nor tie, so
-    the pruning never changes ``best_subset``.  A support holding a single i
-    with c({i}) <= L_I (1 + BOUND_TOL) takes that single's result without a
-    solve, since c({i}) >= c(I) >= L_I.  Any other support is solved, and a
-    support in hand (in ``solved``, or a single when d = 2) is never
-    pruned.  The bound is trusted when every single converged and
+    The lowest single level is the first best level, since every single
+    lies in some support.  Each size-(d-1) support I gets its lower bound
+    L_I (module docstring) and the supports are taken in ascending (L_I, I).
+    While the bound can be trusted, a support is pruned when even L_I (1 -
+    BOUND_TOL) lies above the best level outside its `_tied` band: its level
+    can neither win nor tie, so the pruning never changes ``best_subset``.
+    A support holding a single i with c({i}) <= L_I (1 + BOUND_TOL) takes
+    that single's result without a solve, since c({i}) >= c(I) >= L_I.  Any
+    other support is solved; at d = 2 every support is a single and is
+    never pruned.  The bound is trusted when every single converged and
     lies within RESOLUTION_TOL of lambda_i^((4-N)/2) / mu_i UNIT_LEVEL[N],
     and stops being trusted for the rest of the call once a level falls
     below its bound by more than BOUND_TOL relative.
@@ -619,35 +620,33 @@ def semitrivial_level(p: ParameterSet, grid: RadialGrid, solved=None) -> Semitri
     """
     if p.d < 2:
         raise ValueError("semitrivial levels need d >= 2")
-    solved = solved or {}
-
-    def in_hand(support):
-        res = solved.get(support)
-        if res is not None and res.fields.grid.key != grid.key:
-            raise ValueError(f"result for support {support} was solved on another grid")
-        return res
-
-    singles = {}
-    for i in range(p.d):
-        res = in_hand((i,))
-        singles[i] = minimize_restricted(p, (i,), grid) if res is None else res
-    unit = p.mu * np.array([singles[i].level for i in range(p.d)])
+    if singles is None:
+        singles = [minimize_restricted(p, (i,), grid) for i in range(p.d)]
+    singles = tuple(singles)
+    if len(singles) != p.d:
+        raise ValueError(f"expected {p.d} single results, got {len(singles)}")
+    for i, res in enumerate(singles):
+        if not isinstance(res, GroundStateResult) or res.support != (i,):
+            raise ValueError(f"single {i} is not a result of support ({i},)")
+        if res.fields.grid.key != grid.key:
+            raise ValueError(f"result of single {i} was solved on another grid")
+    unit = p.mu * np.array([res.level for res in singles])
     B = p.b.copy()
     np.fill_diagonal(B, p.mu)
     C = B / np.sqrt(np.outer(unit, unit))
     bounds = {subset: 1.0 / simplex_qp_max(C[np.ix_(subset, subset)])[0]
               for subset in semitrivial_subsets(p.d)}
     continuum = p.lam ** ((4.0 - p.N) / 2.0) * UNIT_LEVEL[p.N]
-    trusted = (all(res.converged for res in singles.values())
+    trusted = (all(res.converged for res in singles)
                and float(np.abs(unit / continuum - 1.0).max()) <= RESOLUTION_TOL)
 
-    best_level = min(res.level for res in singles.values())
+    best_level = min(res.level for res in singles)
     results, pruned = {}, []
     for subset in sorted(bounds, key=lambda s: (bounds[s], s)):
         bound = bounds[subset]
         lowest = min(subset, key=lambda i: (singles[i].level, i))
         single = singles[lowest]
-        res = single if len(subset) == 1 else in_hand(subset)
+        res = single if len(subset) == 1 else None
         if res is None and trusted:
             floor = bound * (1.0 - BOUND_TOL)  # the least level the bound allows
             if floor > best_level and not _tied(floor, best_level):
@@ -678,26 +677,31 @@ def ground_state(p: ParameterSet, grid: RadialGrid,
     """Best level over the full multistart inventory.
 
     For d = 1 this is the plain `_multistart` of ``p``.  Otherwise the
-    minimizer of each support in ``semitrivial.results``, bare and with
-    SEMITRIVIAL_EPS times the soliton profile added in the missing slot, is
-    seeded into `_multistart` between its soliton start and its random
-    starts; a support that the search pruned seeds nothing.  The bare
-    semitrivial starts include the best one, so the returned level never
-    exceeds the semitrivial level by more than solver noise.  The level is
-    an upper approximation of the true ground-state level.
+    minimizers of ``semitrivial.results`` are seeded into `_multistart`
+    between its soliton start and its random starts: each distinct
+    minimizer bare, once (supports closed by one single share its result
+    object, and a repeated bare start would repeat its descent), and each
+    support's minimizer with SEMITRIVIAL_EPS times the soliton profile added
+    in the missing slot; a support that the search pruned seeds nothing.
+    The bare starts include the best semitrivial minimizer, so the returned
+    level never exceeds the semitrivial level by more than solver noise.
+    The level is an upper approximation of the true ground-state level.
     """
     if p.d == 1:
         return _multistart(p, grid)
     if semitrivial is None:
         semitrivial = semitrivial_level(p, grid)
 
-    seeded = []
+    seeded, bare = [], set()
     for subset, res in sorted(semitrivial.results.items()):
+        if id(res) not in bare:
+            bare.add(id(res))
+            seeded.append(res.fields.values)
         missing = next(i for i in range(p.d) if i not in subset)
         bumped = res.fields.values.copy()
         bumped[missing] += SEMITRIVIAL_EPS * soliton_profile(
             grid, float(p.lam[missing]), float(p.mu[missing]))
-        seeded += [res.fields.values, bumped]
+        seeded.append(bumped)
     return _multistart(p, grid, seeded)
 
 

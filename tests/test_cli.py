@@ -319,8 +319,8 @@ class TestSweep:
     def test_unconverged_restricted_solve_is_flagged(self, tmp_path, capsys, monkeypatch):
         real_classify = phase.classify
 
-        def classify(p, opts, restricted=None):
-            v = real_classify(p, opts, restricted)
+        def classify(p, opts, singles=None):
+            v = real_classify(p, opts, singles)
             if p.constant_coupling() != 3.0:
                 return v
             # the full solve converged; only a restricted solve did not

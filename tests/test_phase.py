@@ -544,10 +544,29 @@ class TestSweepSharesRestrictedSolves:
 
     def test_result_from_another_grid_is_rejected(self):
         p = ParameterSet.make([1.0, 1.5], [1.0, 1.0], 1.0, N=2)
+        opts = PhaseOptions(grid_n=300)
         other = build_grid(p, PhaseOptions(grid_n=400))
-        res = solver.minimize_restricted(p, (0,), other)
-        with pytest.raises(ValueError, match="another grid"):
-            classify(p, PhaseOptions(grid_n=300), {(0,): res})
+        singles = (solver.minimize_restricted(p, (0,), build_grid(p, opts)),
+                   solver.minimize_restricted(p, (1,), other))
+        with pytest.raises(ValueError, match="single 1 was solved on another grid"):
+            classify(p, opts, singles)
+
+    @pytest.mark.parametrize("handed, message", [
+        (lambda singles: singles[:1], "expected 2 single results, got 1"),
+        (lambda singles: singles + singles[:1], "expected 2 single results, got 3"),
+        (lambda singles: singles[::-1], r"single 0 is not a result of support \(0,\)"),
+        # the support-keyed form of earlier versions is not silently ignored
+        (lambda singles: {(0,): singles[0]}, "expected 2 single results, got 1"),
+        (lambda singles: {(i,): res for i, res in enumerate(singles)},
+         r"single 0 is not a result of support \(0,\)"),
+    ], ids=["short", "long", "swapped", "dict-one", "dict-both"])
+    def test_handed_singles_are_checked(self, handed, message):
+        p = ParameterSet.make([1.0, 1.5], [1.0, 1.0], 1.0, N=2)
+        opts = PhaseOptions(grid_n=300)
+        g = build_grid(p, opts)
+        singles = tuple(solver.minimize_restricted(p, (i,), g) for i in range(2))
+        with pytest.raises(ValueError, match=message):
+            classify(p, opts, handed(singles))
 
 
 def test_small_coupling_sampling_never_fully_nontrivial():

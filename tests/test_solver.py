@@ -15,6 +15,7 @@ from cnls.solver import (
     CURVATURE_MIN,
     LBFGS_MEMORY,
     LEVEL_TIE_TOL,
+    RANDOM_STARTS,
     SEED,
     SEMITRIVIAL_EPS,
     THETA_TRIV,
@@ -724,16 +725,6 @@ class TestSupportSearch:
         for i in range(2):
             assert semi.lower_bounds[(i,)] == pytest.approx(semi.singles[i].level, rel=1e-14)
 
-    def test_supports_in_hand_are_never_pruned(self):
-        p, g = _search_draw(0)
-        semi = semitrivial_level(p, g)
-        handed = {subset: minimize_restricted(p, subset, g) for subset in semi.pruned}
-        again = semitrivial_level(p, g, handed)
-        assert again.pruned == ()
-        for subset, res in handed.items():
-            assert again.results[subset] is res
-        assert (again.level, again.best_subset) == (semi.level, semi.best_subset)
-
     def test_an_unconverged_single_turns_the_search_off(self, monkeypatch):
         p, g = _search_draw(0)
         real = minimize_restricted
@@ -794,6 +785,47 @@ class TestGroundState:
             semi = semitrivial_level(p, grid)
             full = ground_state(p, grid, semitrivial=semi)
             assert full.level <= semi.level + 1e-8 * max(1.0, abs(semi.level))
+
+    def test_each_distinct_semitrivial_minimizer_is_seeded_bare_once(self, monkeypatch):
+        # wide_system seed 1 pass 0, d4-N2-low, at n = 600: every single lies
+        # within RESOLUTION_TOL of its continuum level, (1, 2, 3) is pruned
+        # and the single of component 0 closes the other three supports
+        p = ParameterSet.make(
+            [1.0079185753328406, 1.1057178526520044, 1.0918671765770807, 1.012469915829975],
+            [1.028265633827875, 1.0705265676961313, 1.018588203620857, 0.9520194895474446],
+            0.3210084035973653, N=2)
+        g = RadialGrid.make(2, default_radius(1.0079185753328406), 600)
+        semi = semitrivial_level(p, g)
+        distinct = {id(res) for res in semi.results.values()}
+        assert semi.pruned == ((1, 2, 3),)
+        assert all(res is semi.singles[0] for res in semi.results.values())
+        starts = []
+        raw = _Descent.run
+
+        def recorded(self, u0):
+            starts.append(np.array(u0))
+            return raw(self, u0)
+
+        monkeypatch.setattr(_Descent, "run", recorded)
+        full = ground_state(p, g, semitrivial=semi)
+        monkeypatch.undo()
+        assert len(starts) == 1 + len(distinct) + len(semi.results) + RANDOM_STARTS == 7
+        assert full.starts_used == len(starts)
+        for a, b in itertools.combinations(starts, 2):
+            assert not np.array_equal(a, b)
+        # the inventory that seeded every support's minimizer bare ends the same
+        seeded = []
+        for subset, res in sorted(semi.results.items()):
+            missing = next(i for i in range(p.d) if i not in subset)
+            bumped = res.fields.values.copy()
+            bumped[missing] += SEMITRIVIAL_EPS * soliton_profile(
+                g, float(p.lam[missing]), float(p.mu[missing]))
+            seeded += [res.fields.values, bumped]
+        old = _multistart(p, g, seeded)
+        assert old.starts_used == len(starts) + 2
+        assert (full.level, full.support, full.iterations, full.grad_norm, full.alternates) == \
+            (old.level, old.support, old.iterations, old.grad_norm, old.alternates)
+        assert np.array_equal(full.fields.values, old.fields.values)
 
     def test_large_lambda_components_die(self):
         # with the top lambda far above the rest (ratio 60), the ground
