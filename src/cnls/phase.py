@@ -53,6 +53,9 @@ MARGIN_TOL = 1e-4
 #: cases.  A test reads `VerdictFacts`: whether every solve converged, the
 #: margin is above MARGIN_TOL * |semitrivial level| and every component of the
 #: full minimizer is alive, and the best semitrivial minimizer's unstable slots.
+#: No margin falls below the band: `ground_state` seeds every distinct
+#: semitrivial minimizer bare, so the full level never exceeds the
+#: semitrivial level beyond rounding.
 VerdictFacts = namedtuple("VerdictFacts", "converged above_band all_alive unstable_slots")
 VERDICT_RULES = (
     ("unconverged", INCONCLUSIVE, lambda f: not f.converged),

@@ -14,7 +14,7 @@ recursion over the last LBFGS_MEMORY pairs (s, y), with s the change of the
 iterate and y the change of the weighted gradient on the free nodes, and
 with (-Laplace + lambda_i)^{-1} per component as the initial inverse
 Hessian (one LAPACK dpttrs solve per iteration on the stack of the d
-tridiagonal blocks, factored once per multistart).  On the Nehari set the
+tridiagonal blocks, factored as a descent is built).  On the Nehari set the
 Hessian in that metric is the identity plus a compact part, so a few pairs
 capture it.  A pair is computed straight into a spare ring slot from the
 previous point and gradient, which the descent keeps in alternating
@@ -65,6 +65,8 @@ No global-optimality claim is made: the returned level is the best local
 minimum over a deterministic multistart inventory (`_multistart`: the
 soliton start, any seeded starts, then RANDOM_STARTS random starts seeded by
 their index alone, so a restricted level depends only on its subsystem).
+Every start is run: all are nonnegative and nonzero, so a start that
+cannot be projected onto the Nehari set is an error.
 The perturbation certificate provides the only strict-comparison guarantee:
 it lists the missing slots i0 where the linearized operator -Laplace +
 lambda_i0 - sum_i b_{i,i0} u_i^2 at a semitrivial minimizer u is not
@@ -276,17 +278,26 @@ class _Pairs:
 
 class _Descent:
     """Shared machinery for the descents of one multistart at fixed
-    (parameters, grid): the preconditioner is factored once, and the L-BFGS
-    ring buffers, the two weighted-gradient buffers, the workspace of the
-    action kernels (three (d, n+1) arrays that `gradient_raw` and
-    `action_parts_raw` compute into) and the three (d, n+1) run buffers of
-    `run` are allocated once, for all starts, so neither a start nor an
-    iteration allocates an array of the grid's size."""
+    (parameters, grid), complete when built: the LDL^T factors of the H^1
+    preconditioner, the stack of the d blocks -Laplace + lambda_i, come from
+    a banded Cholesky A = U^T U per block (D = diag(U)^2, E = superdiag(U) /
+    diag(U)[:-1], E = 0 at block joins), and the L-BFGS ring buffers, the
+    two weighted-gradient buffers, the workspace of the action kernels
+    (three (d, n+1) arrays that `gradient_raw` and `action_parts_raw`
+    compute into) and the three (d, n+1) run buffers of `run` are allocated
+    once, for all starts, so neither a start nor an iteration allocates an
+    array of the grid's size."""
 
     def __init__(self, p: ParameterSet, grid: RadialGrid):
         self.p = p
         self.grid = grid
-        self._ldl = None
+        D, E = np.empty((p.d, grid.n)), np.zeros((p.d, grid.n))
+        for i in range(p.d):
+            diag, off = operator_tridiag(grid, float(p.lam[i]))
+            U = cholesky_banded(np.array([np.append(0.0, off), diag]))
+            D[i] = U[1] ** 2
+            E[i, :-1] = U[0, 1:] / U[1, :-1]
+        self._ldl = D.ravel(), E.ravel()[:-1]
         self._rhs = [np.empty((p.d, grid.n)) for _ in range(2)]
         self._pairs = _Pairs(p.d, grid.n)
         self._work = np.empty((3, p.d, grid.n + 1))
@@ -299,20 +310,9 @@ class _Descent:
 
         The two-loop recursion (Nocedal, Math. Comp. 35 (1980)) runs over
         the stored pairs with the H^1 preconditioner (-Laplace +
-        lambda_i)^{-1} as initial inverse Hessian: one dpttrs solve on the
-        block-diagonal stack.  With no pair stored, H rhs is the H^1
-        gradient.  The LDL^T factors come from a banded Cholesky A = U^T U
-        per block: D = diag(U)^2, E = superdiag(U) / diag(U)[:-1], and E = 0
-        at block joins."""
-        g, d, n = self.grid, self.p.d, self.grid.n
-        if self._ldl is None:
-            D, E = np.empty((d, n)), np.zeros((d, n))
-            for i in range(d):
-                diag, off = operator_tridiag(g, float(self.p.lam[i]))
-                U = cholesky_banded(np.array([np.append(0.0, off), diag]))
-                D[i] = U[1] ** 2
-                E[i, :-1] = U[0, 1:] / U[1, :-1]
-            self._ldl = D.ravel(), E.ravel()[:-1]
+        lambda_i)^{-1} as initial inverse Hessian: one dpttrs solve with the
+        factors of the block-diagonal stack made when the descent was
+        built.  With no pair stored, H rhs is the H^1 gradient."""
         pairs = self._pairs
         S, Y, rho, x, scaled = pairs.S, pairs.Y, pairs.rho, pairs.work, pairs.scaled
         np.copyto(x, rhs)
@@ -324,7 +324,7 @@ class _Descent:
         x, info = dpttrs(*self._ldl, x.ravel(), overwrite_b=1)
         if info != 0:
             raise ValueError(f"dpttrs failed (info={info})")
-        x = x.reshape(d, n)
+        x = x.reshape(rhs.shape)
         for j, a in zip(pairs.stored, reversed(coef)):
             x += np.multiply(S[j], a - rho[j] * _dot(Y[j], x), out=scaled)
         return x, _dot(rhs, x)
@@ -376,10 +376,10 @@ class _Descent:
         so the Dirichlet node of every buffer stays 0.  Each buffer is
         written on the free nodes before it is read.
 
-        Returns (values, iterations, grad_norm, converged) or None when the
-        start cannot be projected onto the constraint set.  ``values`` is a
+        Returns (values, iterations, grad_norm, converged).  ``values`` is a
         run buffer, which the next run overwrites; `finalize` measures it
-        into a new array.
+        into a new array.  Raises ValueError when the clamped start cannot
+        be projected onto the Nehari set.
         """
         p, g, n = self.p, self.grid, self.grid.n
         u, u_old, cand = self._run
@@ -387,7 +387,7 @@ class _Descent:
         u[:, -1] = 0.0
         proj = self._parts(u)[2]
         if proj is None:
-            return None
+            raise ValueError("the start cannot be projected onto the Nehari set")
         t, phi = proj
         u *= t
         eps = np.finfo(float).eps
@@ -522,21 +522,19 @@ def _multistart(p: ParameterSet, grid: RadialGrid, seeded=()) -> GroundStateResu
     ``p``, so the result depends only on ``p``, ``grid`` and ``seeded``.  The
     alternates are the other supports whose level, the first seen for each
     support, is tied with the winner's (minimizers need not be unique).
+    ``starts_used`` is the size of the inventory, 1 + len(seeded) +
+    RANDOM_STARTS: a start that cannot be projected raises ValueError.
     """
     soliton = np.array([soliton_profile(grid, float(p.lam[i]), float(p.mu[i]))
                         for i in range(p.d)])
     randoms = [_random_start(p, grid, np.random.default_rng([SEED, k]))
                for k in range(RANDOM_STARTS)]
+    starts = [soliton, *seeded, *randoms]
     desc = _Descent(p, grid)
     best = None
     first_level = {}
-    runs = 0
-    for u0 in [soliton, *seeded, *randoms]:
-        out = desc.run(u0)
-        if out is None:
-            continue
-        runs += 1
-        values, iterations, gnorm, converged = out
+    for u0 in starts:
+        values, iterations, gnorm, converged = desc.run(u0)
         values, level, sup, gnorm = desc.finalize(values)
         # finalize may zero a slowly decaying component, which leaves a field
         # that passes the test the descent itself never reached
@@ -544,8 +542,6 @@ def _multistart(p: ParameterSet, grid: RadialGrid, seeded=()) -> GroundStateResu
         first_level.setdefault(sup, level)
         if best is None or _better((level, sup), best):
             best = (level, sup, values, iterations, gnorm, converged)
-    if best is None:
-        raise ValueError("no start could be projected onto the constraint set")
     level, sup, values, iterations, gnorm, converged = best
     return GroundStateResult(
         fields=MultiField(grid, values),
@@ -553,7 +549,7 @@ def _multistart(p: ParameterSet, grid: RadialGrid, seeded=()) -> GroundStateResu
         support=sup,
         iterations=iterations,
         grad_norm=gnorm,
-        starts_used=runs,
+        starts_used=len(starts),
         converged=converged,
         alternates=tuple(sorted((s, lv) for s, lv in first_level.items()
                                 if s != sup and _tied(lv, level))),

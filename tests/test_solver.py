@@ -225,7 +225,6 @@ class TestDescent:
         start = _random_start(p, g, np.random.default_rng([SEED, 0]))
         monkeypatch.setattr(cnls.solver, "MAX_ITERATIONS", 10)
         desc = _Descent(p, g)
-        desc.run(start)  # factors the preconditioner
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -239,6 +238,54 @@ class TestDescent:
                 tracemalloc.stop()
         assert iterations == 10
         assert peak <= 2 * p.d * (g.n + 1) * 8
+
+    def test_the_preconditioner_is_factored_when_the_descent_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cnls.solver, "cholesky_banded",
+                            lambda ab: calls.append(1) or cholesky_banded(ab))
+        g = RadialGrid.make(1, 20.0, 300)
+        p = ParameterSet.make([1.0, 2.0, 0.5], [1.0, 1.0, 1.0], 2.0)
+        desc = _Descent(p, g)
+        assert len(calls) == p.d
+        for k in (1, 2):
+            desc.run(_random_start(p, g, np.random.default_rng(k)))
+        assert len(calls) == p.d
+
+    @pytest.mark.parametrize("sign", [0.0, -1.0])
+    def test_a_start_that_cannot_be_projected_raises(self, grid, sign):
+        # a negative start is clamped to the zero field
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
+        start = sign * np.array([soliton_profile(grid, 1.0, 1.0)] * 2)
+        with pytest.raises(ValueError, match="cannot be projected"):
+            _Descent(p, grid).run(start)
+
+    def test_a_direction_that_does_not_descend_is_retried_along_the_gradient(self,
+                                                                              monkeypatch):
+        # the first direction made with stored pairs is turned into an ascent
+        # direction; the retry must run on an empty memory and the descent
+        # must still reach the level of the unpatched run
+        g = RadialGrid.make(1, 20.0, 400)
+        p = ParameterSet.make([1.0, 1.2], [1.0, 0.9], 2.0)
+        start = _random_start(p, g, np.random.default_rng(1))
+        desc = _Descent(p, g)
+        level = desc.finalize(desc.run(start)[0])[1]
+        stored, flipped = [], []
+        direction = _Descent._direction
+
+        def flip_first_with_pairs(self, rhs):
+            stored.append(len(self._pairs.stored))
+            x, decrement = direction(self, rhs)
+            if stored[-1] and not flipped:
+                flipped.append(len(stored) - 1)
+                return np.negative(x, out=x), -decrement
+            return x, decrement
+
+        monkeypatch.setattr(_Descent, "_direction", flip_first_with_pairs)
+        values, _, _, converged = desc.run(start)
+        (k,) = flipped
+        assert stored[k + 1] == 0
+        assert converged
+        assert desc.finalize(values)[1] == pytest.approx(level, rel=1e-12)
 
     def test_non_finite_gradient_raises(self, grid, monkeypatch):
         monkeypatch.setattr(cnls.solver, "gradient_raw",
@@ -350,14 +397,15 @@ class TestMultistart:
     @staticmethod
     def scripted(monkeypatch, grid, outcomes):
         """`_multistart` on a stub descent whose k-th start finalizes to
-        outcomes[k] = (level, support); starts past the end of the script
-        cannot be projected."""
+        outcomes[k] = (level, support), one outcome for each start of the
+        inventory: the soliton start and RANDOM_STARTS random starts."""
+        assert len(outcomes) == 1 + cnls.solver.RANDOM_STARTS
         script = iter(outcomes)
 
         class Stub(_Descent):
             def run(self, u0):
-                self.outcome = next(script, None)
-                return None if self.outcome is None else (u0, 7, 0.0, True)
+                self.outcome = next(script)
+                return u0, 7, 0.0, True
 
             def finalize(self, values):
                 level, support = self.outcome
@@ -374,6 +422,7 @@ class TestMultistart:
 
     def test_a_tied_support_beaten_on_the_tie_break_stays_an_alternate(self, grid,
                                                                         monkeypatch):
+        monkeypatch.setattr(cnls.solver, "RANDOM_STARTS", 1)
         res = self.scripted(monkeypatch, grid, [(2.0, (0, 1, 2)), (2.0, (0,))])
         assert (res.level, res.support, res.starts_used) == (2.0, (0,), 2)
         assert res.alternates == (((0, 1, 2), 2.0),)
@@ -385,6 +434,11 @@ class TestMultistart:
             res = self.scripted(monkeypatch, grid, order)
             assert (res.level, res.support) == (1.0 + 1e-12, (0, 2))
             assert res.alternates == (((1,), 1.0),)
+
+    def test_a_seeded_start_that_cannot_be_projected_raises(self, grid):
+        p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
+        with pytest.raises(ValueError, match="cannot be projected"):
+            _multistart(p, grid, seeded=[np.zeros((p.d, grid.n + 1))])
 
 
 class TestAmplitudeStep:
