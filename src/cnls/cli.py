@@ -3,14 +3,14 @@
 One JSON config file is the sole positional argument (sweeps are
 config-heavy, and a single artifact per run aids provenance).  The config
 says what to compute: the parameters, the grid size `grid.n`, the sweep
-axes, the reduce group and the truncation check; the grid radius is always
-derived from the parameters.  The flags say where and how wide, and a
-command takes only the flags it reads: `--output-dir` (solve, classify,
-sweep; default the current directory), `--workers` (sweep; default 1) and
-`--only` (selftest).  This module writes every output file: result.json and
-profiles.csv (solve), verdict.json (classify) and sweep.csv (sweep).  Each
-embeds the tool version, the solver seed and a hash of the config as
-loaded, so no flag changes an output file.
+axes and the reduce group; the grid radius is always derived from the
+parameters, and `solve` solves once on it.  The flags say where and how
+wide, and a command takes only the flags it reads: `--output-dir` (solve,
+classify, sweep; default the current directory), `--workers` (sweep;
+default 1) and `--only` (selftest).  This module writes every output
+file: result.json and profiles.csv (solve), verdict.json (classify) and
+sweep.csv (sweep).  Each embeds the tool version, the solver seed and a
+hash of the config as loaded, so no flag changes an output file.
 
 Exit codes: 0 success, 1 usage/validation error (a malformed command line
 included), 2 converged with warnings (e.g. a flagged non-converged solve;
@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import __version__
 from .functional import action
-from .grid import RadialGrid
 from .params import ParameterSet, as_int
 from .params import validate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .phase import (
@@ -46,7 +45,7 @@ EXIT_USAGE = 1
 EXIT_WARNINGS = 2
 
 #: Every top-level key a run config may hold; any other key is an error.
-_CONFIG_KEYS = ("parameters", "grid", "sweep", "reduce", "check_truncation")
+_CONFIG_KEYS = ("parameters", "grid", "sweep", "reduce")
 #: The config sections, which must be JSON objects, and the keys each may hold.
 _SECTIONS = {"grid": ("n",), "sweep": ("axes",), "reduce": ("group",)}
 
@@ -95,8 +94,6 @@ def _load_config(path):
     ):
         raise ValueError('"sweep.axes" must be a list of {"path": string, "values": list}'
                          " objects with no other keys")
-    if not isinstance(config.get("check_truncation", False), bool):
-        raise ValueError('"check_truncation" must be true or false')
     return config
 
 
@@ -166,22 +163,13 @@ def write_sweep_csv(path, points, axes, meta):
 
 
 def cmd_solve(config, p, args):
-    grid = build_grid(p, _phase_options(config))
-    res = ground_state(p, grid)
+    res = ground_state(p, build_grid(p, _phase_options(config)))
     meta = _meta(config)
     out = _outdir(args)
     payload = dict(meta)
     payload["result"] = res.to_json_dict()
     payload["action"] = action(res.fields, p).to_json_dict()
     payload["parameters"] = p.to_json_dict()
-    if config.get("check_truncation"):
-        # R-doubling convergence check: same spacing, doubled radius
-        grid2 = RadialGrid.make(grid.N, 2.0 * grid.R, 2 * grid.n)
-        res2 = ground_state(p, grid2)
-        payload["truncation_check"] = {
-            "R_doubled_level": res2.level,
-            "level_drift": abs(res2.level - res.level),
-        }
     _write_json(out / "result.json", payload)
     write_profiles_csv(out / "profiles.csv", res.fields, meta)
     support = ",".join(str(i) for i in res.support)

@@ -39,10 +39,13 @@ _FAULT_WEIGHT_SCALE = 0.0
 
 
 def default_radius(lam_min):
-    """Truncation radius heuristic 20/sqrt(min lambda).
+    """Truncation radius 20/sqrt(min lambda).
 
-    Ground states decay like exp(-sqrt(lambda) r), so the truncation error
-    is exponentially small next to the O(h^2) scheme error.
+    Ground states decay like exp(-sqrt(lambda) r), so truncating at R moves
+    a level by about exp(-40), below roundoff and far below the O(h^2)
+    scheme error.  `test_doubling_the_default_radius_leaves_the_level_unchanged`
+    in tests/test_grid.py checks that a solve on (2R, 2n) gives the same
+    support and the same level within 1e-12 relative.
     """
     if lam_min <= 0:
         raise ValueError("lam_min must be > 0")

@@ -476,8 +476,9 @@ def amplitude_step(q, M, level):
     When at least two rows are live and 1 / (4 F) is below ``level`` by more
     than AMPLITUDE_MIN_DROP relative, this returns (s, f(t)) with s = tau
     sqrt(t) and tau the projection of the scaled rows: the rows scaled by s
-    lie on the Nehari set at level f(t), evaluated from (q, M) at t.
-    Otherwise it returns None.
+    lie on the Nehari set at level f(t), evaluated from (q, M) at t.  That
+    projection always exists: q.t = 1, t.M.t = F and the drop test needs
+    F > 0.  Otherwise it returns None.
     """
     if q.size < 2:
         return None
@@ -494,10 +495,7 @@ def amplitude_step(q, M, level):
         t[live] = z / ql
     if not 4.0 * F * level * (1.0 - AMPLITUDE_MIN_DROP) > 1.0:
         return None
-    proj = nehari_raw(float(q @ t), float(t @ M @ t))
-    if proj is None:
-        return None
-    tau, f = proj
+    tau, f = nehari_raw(float(q @ t), float(t @ M @ t))
     return tau * np.sqrt(t), f
 
 

@@ -100,6 +100,7 @@ MALFORMED_ERRORS = {
     "string-output-with-dir-flag": OUTPUT_ERROR, "unknown-output-key": OUTPUT_ERROR,
     "removed-output": OUTPUT_ERROR,
     "removed-workers": "unknown config key(s): ['workers']",
+    "removed-check_truncation": "unknown config key(s): ['check_truncation']",
 }
 
 
@@ -121,15 +122,6 @@ class TestSolve:
         assert result["config_sha256"] in profiles[0]
         assert profiles[1] == "r,u1"
         assert len(profiles) == 2 + 1201
-
-    def test_truncation_check(self, tmp_path, capsys):
-        cfg = dict(SINGLE)
-        cfg["grid"] = {"n": 400}
-        cfg["check_truncation"] = True
-        assert main(["solve", write_config(tmp_path, cfg), "--output-dir",
-                     str(tmp_path / "out")]) == 0
-        result = json.loads((tmp_path / "out" / "result.json").read_text())
-        assert result["truncation_check"]["level_drift"] < 1e-4
 
     def test_invalid_parameters_exit_1(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SINGLE))
@@ -156,7 +148,7 @@ class TestSolve:
         ("solve --output-dir o", lambda c: c.update(output="x")),
         # the flag itself is gone: test_usage_error_exit_1[removed-seed-flag]
         ("solve", lambda c: c.update(solver=[1])),
-        ("solve", lambda c: c.update(check_truncation="yes")),
+        ("solve", lambda c: c.update(check_truncation=True)),
         ("solve", lambda c: c.update(margn_tol=0.5)),
         ("solve", lambda c: c.update(margin_tol=1e-4)),
         ("solve", lambda c: c.update(sweep_cap=3)),
@@ -190,7 +182,7 @@ class TestSolve:
             "fractional-N", "fractional-n", "list-reduce", "fractional-group",
             "axis-without-values", "list-sweep", "null-axis-value", "string-output",
             "integer-output-dir", "string-output-with-dir-flag", "list-solver-with-seed-flag",
-            "string-check_truncation", "misspelt-key", "removed-margin_tol",
+            "removed-check_truncation", "misspelt-key", "removed-margin_tol",
             "removed-sweep_cap", "removed-grad_tol", "unknown-grid-key", "unknown-sweep-key",
             "unknown-reduce-key", "unknown-output-key", "repeated-axis-path",
             "unknown-axis-key", "nan-R", "workers-over-cap", "string-mu", "bool-b",

@@ -14,6 +14,8 @@ from cnls.grid import (
     wdot,
 )
 from cnls.params import ParameterSet
+from cnls.phase import PhaseOptions, build_grid
+from cnls.solver import ground_state
 
 SOLITON_H1 = 16.0 / 3.0  # ||sqrt(2) sech||^2_1 = int u^4 for the N=1 soliton
 
@@ -55,6 +57,27 @@ def test_default_radius():
     assert default_radius(4.0) == pytest.approx(10.0)
     with pytest.raises(ValueError):
         default_radius(0.0)
+
+
+@pytest.mark.parametrize("lam, mu, b, N, n", [
+    ([1.0], [1.0], 0.0, 1, 600),
+    ([1.0, 20.0], [1.0, 2.0], 0.5, 2, 800),
+    ([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], 2.0, 3, 600),
+    ([0.5, 1.0, 3.0, 10.0], [1.0, 1.5, 1.0, 2.0], 3.0, 1, 600),
+    ([1.0, 20.0, 4.0], [1.0, 1.0, 2.0], 0.3, 1, 1000),
+], ids=["d1-N1", "d2-N2-ratio20", "d3-N3", "d4-N1-ratio20", "d3-N1-ratio20"])
+def test_doubling_the_default_radius_leaves_the_level_unchanged(lam, mu, b, N, n):
+    # at R = default_radius truncation is far below roundoff: the level on
+    # (2R, 2n), same spacing, agrees to 1e-12 (R = 10/sqrt(min lambda)
+    # drifts by ~1e-8)
+    p = ParameterSet.make(lam, mu, b, N=N)
+    grid = build_grid(p, PhaseOptions(grid_n=n))
+    assert grid.R == default_radius(min(lam))
+    res = ground_state(p, grid)
+    doubled = ground_state(p, RadialGrid.make(N, 2.0 * grid.R, 2 * n))
+    assert res.converged and doubled.converged
+    assert doubled.support == res.support
+    assert doubled.level == pytest.approx(res.level, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), float("inf")])
