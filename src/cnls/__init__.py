@@ -9,14 +9,7 @@ fully-nontrivial phase classifier, equal-lambda system reduction, and the
 closed-form parameter thresholds as checkable predicates.
 """
 
-from .functional import (
-    ActionBreakdown,
-    action,
-    action_gradient,
-    action_on_nehari,
-    nehari_scale,
-    simplex_qp_max,
-)
+from .functional import ActionBreakdown, action, simplex_qp_max
 from .grid import MultiField, RadialGrid, default_radius
 from .params import ParameterSet, alpha_threshold, small_b_bound, validate
 from .phase import (
@@ -52,15 +45,12 @@ __all__ = [
     "ReducedSystem",
     "SEMITRIVIAL",
     "action",
-    "action_gradient",
-    "action_on_nehari",
     "alpha_threshold",
     "classify",
     "default_radius",
     "ground_state",
     "lift_ground_state",
     "minimize_restricted",
-    "nehari_scale",
     "perturbation_certificate",
     "reduce_system",
     "semitrivial_level",

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functional import action, action_gradient, action_on_nehari, nehari_scale, simplex_qp_max
-from .grid import MultiField, RadialGrid, default_radius, wdot
+from .functional import action, action_parts_raw, gradient_raw, nehari_raw, simplex_qp_max
+from .grid import MultiField, RadialGrid, default_radius
 from .params import ParameterSet, small_b_bound
 from .phase import FULLY_NONTRIVIAL, MARGIN_TOL, SEMITRIVIAL, PhaseOptions, build_grid, classify
 from .reduction import lift_ground_state, reduce_system
@@ -48,6 +48,12 @@ def _smooth_bump(grid, rng, nonneg=False):
         vals = vals * np.cos(0.3 * r)
     vals[-1] = 0.0
     return vals
+
+
+def _nehari(grid, values, p):
+    """(t, level) of the Nehari projection of a (d, n+1) array."""
+    q, M = action_parts_raw(grid, values, p)
+    return nehari_raw(float(q.sum()), float(M.sum()))
 
 
 def criterion_01_single_equation_level():
@@ -166,10 +172,9 @@ def criterion_05_scaling_identities():
     b = 2.0
     p = ParameterSet.make([1.0, 1.3], [1.0, 0.8], b, N=1)
     g = RadialGrid.make(1, 20.0, 1500)
-    u = MultiField(g, np.array([(1.0 + 0.1 * i) * soliton_profile(g, p.lam[i], p.mu[i])
-                                for i in range(p.d)]))
+    u = np.array([(1.0 + 0.1 * i) * soliton_profile(g, p.lam[i], p.mu[i]) for i in range(p.d)])
     p_unit = replace(p, mu=p.mu / b, b=np.ones((2, 2)))
-    lhs, rhs = action_on_nehari(u, p), action_on_nehari(u, p_unit) / b
+    lhs, rhs = _nehari(g, u, p)[1], _nehari(g, u, p_unit)[1] / b
     b_err = abs(lhs - rhs) / abs(rhs)
 
     single, sigma = ParameterSet.make([1.0], [1.0], 0.0, N=1), 4.0
@@ -211,7 +216,7 @@ def criterion_06_monotonicity():
         g = RadialGrid.make(1, default_radius(lam_p.min()), 800)  # covers q too
         res_q = ground_state(q, g)
         c_q = res_q.level
-        c_p = min(ground_state(p, g).level, action_on_nehari(res_q.fields, p))
+        c_p = min(ground_state(p, g).level, _nehari(g, res_q.fields.values, p)[1])
         worst = max(worst, c_p - c_q)
         if c_p > c_q * (1.0 + 1e-12):
             return False, f"violated: c_p={c_p} > (1 + 1e-12) c_q, c_q={c_q}"
@@ -260,9 +265,8 @@ def criterion_09_gradient_correctness():
     for _ in range(10):
         u_vals = np.array([_smooth_bump(g, rng) for _ in range(3)])
         v_vals = np.array([_smooth_bump(g, rng) for _ in range(3)])
-        u = MultiField(g, u_vals)
-        grad = action_gradient(u, p)
-        paired = sum(wdot(g, grad.values[i], v_vals[i]) for i in range(3))
+        grad = gradient_raw(g, u_vals, p)
+        paired = sum(float(np.dot(g.weights, grad[i] * v_vals[i])) for i in range(3))
         plus = action(MultiField(g, u_vals + eps * v_vals), p).action
         minus = action(MultiField(g, u_vals - eps * v_vals), p).action
         fd = (plus - minus) / (2 * eps)
@@ -281,8 +285,7 @@ def criterion_10_nehari_projection():
     worst = 0.0
     for _ in range(50):
         vals = np.array([_smooth_bump(g, rng, nonneg=True) for _ in range(2)])
-        u = MultiField(g, vals)
-        t = nehari_scale(u, p)
+        t = _nehari(g, vals, p)[0]
         scaled = MultiField(g, t * vals)
         bk = action(scaled, p)
         rel = abs(bk.nehari_residual) / bk.quadratic

@@ -12,8 +12,8 @@ quartic, tau(t*u) = 0 has the closed-form solution t^2 = quadratic/quartic,
 and on the constraint set I(u) = quadratic/4.
 
 The gradient is represented in the weighted L^2 pairing of the grid, so
-directional derivatives of `action` equal <action_gradient(u), v>_w exactly
-(the pairing includes the quadrature weights); this keeps descent
+directional derivatives of `action` equal <gradient_raw(grid, u, p), v>_w
+exactly (the pairing includes the quadrature weights); this keeps descent
 directions mesh independent.
 """
 
@@ -49,11 +49,6 @@ class ActionBreakdown:
         }
 
 
-def _check_dims(u: MultiField, p: ParameterSet):
-    if u.d != p.d:
-        raise ValueError(f"dimension mismatch: fields have d={u.d}, parameters d={p.d}")
-
-
 def action_parts_raw(grid, values, p: ParameterSet, work=None):
     """Return (q, M) for a (d, n+1) array: q_i = ||u_i||^2_{lambda_i},
     M_ii = mu_i |u_i|_4^4 and M_ij = b_ij |u_i u_j|_2^2 (i != j).
@@ -63,9 +58,10 @@ def action_parts_raw(grid, values, p: ParameterSet, work=None):
     diag(s^2), which is what the solver's amplitude step solves in.  Each
     entry is one weighted dot product, so a zero row gives exact zeros and
     a system with zero rows has the same parts as the system without them;
-    q_i is `h1_sq_raw` of row i to the last bit.  The squares are computed
-    into work[0] and work[1] of a workspace like `gradient_raw`'s, which is
-    allocated when ``work`` is None.
+    q_i is the test oracle `h1_sq_raw` (tests/oracles.py) of row i to the
+    last bit.  The squares are computed into work[0] and work[1] of a
+    workspace like `gradient_raw`'s, which is allocated when ``work`` is
+    None.
     """
     d, n = values.shape[0], grid.n
     if work is None:
@@ -172,7 +168,9 @@ def _simplex_supports(B):
 
 
 def gradient_raw(grid, values, p: ParameterSet, work=None):
-    """Weighted-pairing gradient of the action as a (d, n+1) array.
+    """Weighted-pairing gradient of the action as a (d, n+1) array: row i
+    is -Laplace(u_i) + lambda_i u_i - mu_i u_i^3 - u_i sum_{j!=i} b_ij u_j^2,
+    so that d/ds action(u + s v)|_0 = <gradient, v>_w exactly.
 
     ``work`` is a (3, d, n+1) workspace that takes every intermediate and
     the result, work[2], so a caller that passes one makes no temporaries
@@ -203,16 +201,12 @@ def nehari_raw(quadratic, quartic):
     return float(np.sqrt(quadratic / quartic)), quadratic * quadratic / (4.0 * quartic)
 
 
-def _totals(q, M):
-    """(quadratic, quartic) parts of the action from `action_parts_raw`."""
-    return float(q.sum()), float(M.sum())
-
-
 def action(u: MultiField, p: ParameterSet) -> ActionBreakdown:
     """Evaluate the action and its breakdown at u."""
-    _check_dims(u, p)
+    if u.d != p.d:
+        raise ValueError(f"dimension mismatch: fields have d={u.d}, parameters d={p.d}")
     q, M = action_parts_raw(u.grid, u.values, p)
-    quad, quartic = _totals(q, M)
+    quad, quartic = float(q.sum()), float(M.sum())
     qself = float(np.trace(M))
     qcross = quartic - qself
     return ActionBreakdown(
@@ -222,42 +216,3 @@ def action(u: MultiField, p: ParameterSet) -> ActionBreakdown:
         action=quad / 2.0 - quartic / 4.0,
         nehari_residual=quad - quartic,
     )
-
-
-def _projection(u: MultiField, p: ParameterSet):
-    _check_dims(u, p)
-    quad, quartic = _totals(*action_parts_raw(u.grid, u.values, p))
-    proj = nehari_raw(quad, quartic)
-    if proj is None:
-        if quad <= 0.0:
-            raise ValueError("cannot project the zero field onto the constraint set")
-        raise ValueError("cannot project: quartic part vanishes")
-    return proj
-
-
-def nehari_scale(u: MultiField, p: ParameterSet):
-    """The unique t > 0 with tau(t*u) = 0: t^2 = quadratic / quartic total.
-
-    t*u maximizes s -> I(s*u) over s > 0.  Requires u != 0 with positive
-    quartic total.
-    """
-    return _projection(u, p)[0]
-
-
-def action_on_nehari(u: MultiField, p: ParameterSet):
-    """I at the Nehari rescaling of u: quadratic^2 / (4 * quartic total).
-
-    Degree-0 homogeneous in u (same value for c*u, any c > 0).
-    """
-    return _projection(u, p)[1]
-
-
-def action_gradient(u: MultiField, p: ParameterSet) -> MultiField:
-    """Euler-Lagrange map: component i is
-
-        -Laplace(u_i) + lambda_i u_i - mu_i u_i^3 - u_i sum_{j!=i} b_ij u_j^2,
-
-    represented so that d/ds action(u + s v)|_0 = <gradient, v>_w exactly.
-    """
-    _check_dims(u, p)
-    return MultiField(u.grid, gradient_raw(u.grid, u.values, p))

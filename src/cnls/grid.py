@@ -15,7 +15,8 @@ conductance_j (u_{j+1} - u_j)^2, the cell's exact measure over its squared
 length.  The kernels read only ``weights`` and ``conductance``, so all
 spacing arithmetic lives in `RadialGrid.make`.  `neg_lap_plus_raw` and
 `operator_tridiag` (the one matrix of -Laplace + V) represent the quadratic
-form exactly: <Au, u>_w == h1_sq_raw(grid, u, lam) up to roundoff.
+form exactly: <Au, u>_w == h1_sq_raw(grid, u, lam) up to roundoff, where
+`h1_sq_raw` is the test oracle in tests/oracles.py.
 
 The unknown u = (u_1, ..., u_d) is a `MultiField`, or a bare (d, n+1) array
 on the hot path; the kernels below take bare arrays.
@@ -50,14 +51,6 @@ def default_radius(lam_min):
     if lam_min <= 0:
         raise ValueError("lam_min must be > 0")
     return 20.0 / math.sqrt(lam_min)
-
-
-def ball_volume(N, R):
-    if N == 1:
-        return 2.0 * R
-    if N == 2:
-        return math.pi * R**2
-    return 4.0 / 3.0 * math.pi * R**3
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,33 +128,11 @@ class MultiField:
     def d(self):
         return self.values.shape[0]
 
-    @classmethod
-    def zero(cls, grid, d):
-        return cls(grid, np.zeros((d, grid.n + 1)))
-
 
 # --------------------------------------------------------------------------
-# Quadrature kernels on bare arrays, shared by the functional and the solver.
+# Operator kernels on bare arrays: -Laplace + lam for the gradient, its
+# matrix for the solver.  The tests check both against tests/oracles.py.
 # --------------------------------------------------------------------------
-
-def wdot(grid, a, b):
-    """Weighted L^2 pairing sum_j w_j a_j b_j."""
-    return float(np.dot(grid.weights, a * b))
-
-
-def h1_sq_raw(grid, values, lam):
-    """Discrete integral of |u'|^2 + lam*u^2 (weighted by s_N r^(N-1))."""
-    du = values[1:] - values[:-1]
-    stiff = float(np.dot(grid.conductance, du * du))
-    mass = float(np.dot(grid.weights, values * values))
-    return stiff + lam * mass
-
-
-def l4_raw(grid, values):
-    """Discrete integral of u^4."""
-    v2 = values * values
-    return float(np.dot(grid.weights, v2 * v2))
-
 
 def neg_lap_plus_raw(grid, values, lam, out=None, spare=None):
     """Apply -Laplace + lam in the exact weighted-pairing representation.
@@ -193,7 +164,8 @@ def operator_tridiag(grid, potential):
     """(diag, off) of the n x n tridiagonal matrix K + W V of -Laplace + V on
     the free nodes 0..n-1 (the Dirichlet node n is dropped), in the weighted
     pairing: W = diag(weights[:n]), ``potential`` V is a scalar or one value
-    per free node, and u^T (K + W lam) u == h1_sq_raw(grid, u, lam)."""
+    per free node, and u^T (K + W lam) u == h1_sq_raw(grid, u, lam), the test
+    oracle, up to roundoff."""
     n, c = grid.n, grid.conductance
     diag = np.append(c[0], c[: n - 1] + c[1:n]) + grid.weights[:n] * potential
     return diag, -c[: n - 1]

@@ -7,8 +7,8 @@ and embeds the minimizer with zero rows outside I.
 
 The minimization runs on the constraint surface tau(u) = 0, which is free
 to enforce because the rescaling is closed form: every iterate is projected
-back by `functional.nehari_raw`, the one Nehari projection (`nehari_scale`,
-`action_on_nehari` and `amplitude_step` are built on it).  Descent
+back by `functional.nehari_raw`, the one Nehari projection (the starts,
+Armijo trials, `finalize` and `amplitude_step` are built on it).  Descent
 directions are L-BFGS directions in the H^1 (Sobolev) metric: the two-loop
 recursion over the last LBFGS_MEMORY pairs (s, y), with s the change of the
 iterate and y the change of the weighted gradient on the free nodes, and
@@ -22,7 +22,7 @@ buffers, and is stored only when s.y > 0 (relative to |s| |y|); the memory
 is cleared when the amplitude step switches a component off and when a
 direction fails to descend, and with no pair stored the direction is the
 H^1 gradient.  Armijo backtracking runs on the scale-invariant merit
-action_on_nehari, and a trial is accepted only when it lowers the merit.
+`nehari_raw`'s level, and a trial is accepted only when it lowers the merit.
 Backtracking stops once the predicted decrease is below one ulp of the
 level: a trial accepted there would be accepted by rounding noise, so the
 descent ends at that roundoff floor.  Each trial is built in place in a
@@ -442,8 +442,8 @@ class _Descent:
 
     def finalize(self, values):
         """Zero sub-threshold components, reproject, and measure the result
-        in a new array.  The L^4 masses (`grid.l4_raw` per row) come from
-        one pass over the workspace."""
+        in a new array.  The L^4 masses (the integral of u_i^4 per row) come
+        from one pass over the workspace."""
         p, g = self.p, self.grid
         v4 = np.multiply(values, values, out=self._work[0])
         v4 *= v4

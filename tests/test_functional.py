@@ -1,29 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import cnls.functional
 from cnls import simplex_qp_max
-from cnls.functional import (
-    action,
-    action_gradient,
-    action_on_nehari,
-    action_parts_raw,
-    gradient_raw,
-    nehari_scale,
-)
-from cnls.grid import (
-    MultiField,
-    RadialGrid,
-    default_radius,
-    h1_sq_raw,
-    l4_raw,
-    neg_lap_plus_raw,
-    wdot,
-)
+from cnls.functional import action, action_parts_raw, gradient_raw, nehari_raw
+from cnls.grid import MultiField, RadialGrid, default_radius, neg_lap_plus_raw
 from cnls.params import ParameterSet
 from cnls.solver import ground_state, soliton_profile
+from oracles import h1_sq_raw, l4_raw, wdot
 
 SINGLE_LEVEL = 4.0 / 3.0
 
@@ -51,10 +38,17 @@ def soliton_multifield(grid, d=1):
     return MultiField(grid, vals)
 
 
+def projection(grid, values, p):
+    """(t, level) of the Nehari projection: `nehari_raw` at the totals of
+    `action_parts_raw`."""
+    q, M = action_parts_raw(grid, values, p)
+    return nehari_raw(float(q.sum()), float(M.sum()))
+
+
 class TestAction:
     def test_zero_fields(self, grid):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
-        bk = action(MultiField.zero(grid, 2), p)
+        bk = action(MultiField(grid, np.zeros((2, grid.n + 1))), p)
         assert bk.quadratic == bk.quartic_self == bk.quartic_cross == 0.0
         assert bk.action == 0.0 and bk.nehari_residual == 0.0
 
@@ -124,36 +118,49 @@ class TestAction:
         p0 = ParameterSet.from_json_dict({**base, "b": [[0.0, 2.0], [2.0, 0.0]]})
         p5 = ParameterSet.from_json_dict({**base, "b": [[5.0, 2.0], [2.0, -4.0]]})
         assert action(u, p5) == action(u, p0)
-        np.testing.assert_array_equal(action_gradient(u, p5).values, action_gradient(u, p0).values)
+        np.testing.assert_array_equal(gradient_raw(grid, vals, p5), gradient_raw(grid, vals, p0))
 
     def test_dimension_mismatch(self, grid):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
         with pytest.raises(ValueError, match="dimension"):
-            action(MultiField.zero(grid, 3), p)
+            action(MultiField(grid, np.zeros((3, grid.n + 1))), p)
 
 
 class TestNehariScale:
     def test_fixed_point_on_manifold(self, grid):
         rng = np.random.default_rng(4)
         p = ParameterSet.make([1.0, 1.2], [1.0, 0.8], 1.5)
-        u = MultiField(grid, np.array([smooth_bump(grid, rng, nonneg=True) for _ in range(2)]))
-        t = nehari_scale(u, p)
-        scaled = MultiField(grid, t * u.values)
-        assert nehari_scale(scaled, p) == pytest.approx(1.0, abs=1e-10)
+        vals = np.array([smooth_bump(grid, rng, nonneg=True) for _ in range(2)])
+        t = projection(grid, vals, p)[0]
+        scaled = MultiField(grid, t * vals)
+        assert projection(grid, scaled.values, p)[0] == pytest.approx(1.0, abs=1e-10)
         assert abs(action(scaled, p).nehari_residual) <= 1e-10 * action(scaled, p).quadratic
 
     def test_formula(self, grid):
         rng = np.random.default_rng(5)
         p = ParameterSet.make([1.0], [2.0], 0.0)
-        u = MultiField(grid, smooth_bump(grid, rng, nonneg=True)[None, :])
-        bk = action(u, p)
-        t = nehari_scale(u, p)
+        vals = smooth_bump(grid, rng, nonneg=True)[None, :]
+        bk = action(MultiField(grid, vals), p)
+        t = projection(grid, vals, p)[0]
         assert t**2 == pytest.approx(bk.quadratic / (bk.quartic_self + bk.quartic_cross), rel=1e-14)
 
     def test_rejects_zero_and_no_quartic(self, grid):
+        # no t > 0 puts the field on the constraint set without a positive
+        # quadratic and a positive quartic part
         p = ParameterSet.make([1.0], [1.0], 0.0)
-        with pytest.raises(ValueError):
-            nehari_scale(MultiField.zero(grid, 1), p)
+        assert projection(grid, np.zeros((1, grid.n + 1)), p) is None
+        for quad, quartic in ((0.0, 2.0), (1.5, 0.0), (1.5, -0.5)):
+            assert nehari_raw(quad, quartic) is None
+
+    def test_closed_form_bit_for_bit(self, grid):
+        rng = np.random.default_rng(14)
+        p = ParameterSet.make([1.0, 1.3, 0.8], [1.0, 0.7, 1.2], 1.9)
+        vals = np.array([smooth_bump(grid, rng) for _ in range(3)])
+        q, M = action_parts_raw(grid, vals, p)
+        quad, quartic = float(q.sum()), float(M.sum())
+        t, level = nehari_raw(quad, quartic)
+        assert t == math.sqrt(quad / quartic)
+        assert level == quad * quad / (4.0 * quartic)
 
     def test_theta_family_closed_form(self, grid):
         # the projection of (u_1, ..., u_{d-1}, theta*w) with the head tuple
@@ -167,12 +174,11 @@ class TestNehariScale:
             soliton_profile(grid, 1.0, 1.0),
             0.8 * soliton_profile(grid, 1.2, 0.8),
         ])
-        t2 = nehari_scale(MultiField(grid, pair), p2)
+        t2 = projection(grid, pair, p2)[0]
         pair *= t2
         w = smooth_bump(grid, rng, nonneg=True)
         theta = 0.37
-        full = MultiField(grid, np.vstack([pair, theta * w[None, :]]))
-        t = nehari_scale(full, p3)
+        t = projection(grid, np.vstack([pair, theta * w[None, :]]), p3)[0]
 
         S = sum(h1_sq_raw(grid, pair[i], [1.0, 1.2][i]) for i in range(2))
         C1 = h1_sq_raw(grid, w, 0.9) / S
@@ -187,7 +193,7 @@ class TestNehariScale:
 class TestActionOnNehari:
     def test_single_soliton(self, grid):
         p = ParameterSet.make([1.0], [1.0], 0.0)
-        assert action_on_nehari(soliton_multifield(grid), p) == pytest.approx(
+        assert projection(grid, soliton_multifield(grid).values, p)[1] == pytest.approx(
             SINGLE_LEVEL, rel=1e-3
         )
 
@@ -195,38 +201,36 @@ class TestActionOnNehari:
         rng = np.random.default_rng(7)
         p = ParameterSet.make([1.0, 1.5], [1.0, 1.0], 2.0)
         vals = np.array([smooth_bump(grid, rng, nonneg=True) for _ in range(2)])
-        u = MultiField(grid, vals)
-        u3 = MultiField(grid, 3.0 * vals)
-        assert action_on_nehari(u3, p) == pytest.approx(action_on_nehari(u, p), rel=1e-12)
+        assert projection(grid, 3.0 * vals, p)[1] == pytest.approx(
+            projection(grid, vals, p)[1], rel=1e-12
+        )
 
     def test_symmetric_pair_level(self, grid):
         # u1 = u2 = soliton of the single equation with mu + b = 4 sits on
         # the constraint set with level 8 lambda^(3/2) / (3 (mu + b)) = 2/3
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 3.0)
         w = soliton_profile(grid, 1.0, 4.0)
-        u = MultiField(grid, np.tile(w, (2, 1)))
-        assert action_on_nehari(u, p) == pytest.approx(2.0 / 3.0, rel=1e-3)
+        assert projection(grid, np.tile(w, (2, 1)), p)[1] == pytest.approx(2.0 / 3.0, rel=1e-3)
 
     def test_ray_maximality(self, grid):
         rng = np.random.default_rng(8)
         p = ParameterSet.make([1.0, 1.1], [0.9, 1.2], 1.4)
         vals = np.array([smooth_bump(grid, rng, nonneg=True) for _ in range(2)])
-        u = MultiField(grid, vals)
-        t = nehari_scale(u, p)
+        t = projection(grid, vals, p)[0]
         on = action(MultiField(grid, t * vals), p).action
         assert action(MultiField(grid, 0.5 * t * vals), p).action < on
         assert action(MultiField(grid, 2.0 * t * vals), p).action < on
 
     def test_coupling_rescaling_identity(self, grid):
-        # with constant coupling b: AON(u; lam, mu, b) = AON(u; lam, mu/b, 1)/b
+        # with constant coupling b the projected level of u obeys
+        # level(u; lam, mu, b) = level(u; lam, mu/b, 1)/b
         rng = np.random.default_rng(9)
         b = 2.6
         p = ParameterSet.make([1.0, 1.3, 0.8], [1.0, 0.7, 1.2], b)
         p_unit = ParameterSet.make([1.0, 1.3, 0.8], np.array([1.0, 0.7, 1.2]) / b, 1.0)
         vals = np.array([smooth_bump(grid, rng, nonneg=True) for _ in range(3)])
-        u = MultiField(grid, vals)
-        assert action_on_nehari(u, p) == pytest.approx(
-            action_on_nehari(u, p_unit) / b, rel=1e-12
+        assert projection(grid, vals, p)[1] == pytest.approx(
+            projection(grid, vals, p_unit)[1] / b, rel=1e-12
         )
 
     def test_projected_q_minimizer_bounds_c_q(self):
@@ -236,35 +240,33 @@ class TestActionOnNehari:
         p = ParameterSet.make([0.9, 1.0], [1.2, 1.1], 2.0)
         q = ParameterSet.make([1.0, 1.3], [1.0, 0.9], 1.5)
         res_q = ground_state(q, RadialGrid.make(1, default_radius(0.9), 600))
-        assert action_on_nehari(res_q.fields, p) <= res_q.level * (1.0 + 1e-12)
+        u = res_q.fields
+        assert projection(u.grid, u.values, p)[1] <= res_q.level * (1.0 + 1e-12)
 
     def test_parameter_monotonicity_at_fixed_field(self, grid):
         rng = np.random.default_rng(10)
         p = ParameterSet.make([1.0, 1.4], [1.0, 0.9], 1.2)
         vals = np.array([smooth_bump(grid, rng, nonneg=True) for _ in range(2)])
-        u = MultiField(grid, vals)
-        base = action_on_nehari(u, p)
+        base = projection(grid, vals, p)[1]
         up_lam = ParameterSet.make([1.3, 1.4], [1.0, 0.9], 1.2)
-        assert action_on_nehari(u, up_lam) > base
+        assert projection(grid, vals, up_lam)[1] > base
         up_mu = ParameterSet.make([1.0, 1.4], [1.5, 0.9], 1.2)
-        assert action_on_nehari(u, up_mu) < base
+        assert projection(grid, vals, up_mu)[1] < base
         up_b = ParameterSet.make([1.0, 1.4], [1.0, 0.9], 2.0)
-        assert action_on_nehari(u, up_b) < base
+        assert projection(grid, vals, up_b)[1] < base
 
 
 class TestGradient:
     def test_zero(self, grid):
         p = ParameterSet.make([1.0, 1.0], [1.0, 1.0], 2.0)
-        g = action_gradient(MultiField.zero(grid, 2), p)
-        assert np.all(g.values == 0.0)
+        assert np.all(gradient_raw(grid, np.zeros((2, grid.n + 1)), p) == 0.0)
 
     def test_soliton_is_near_critical(self):
         g = RadialGrid.make(1, 20.0, 4000)
         p = ParameterSet.make([1.0], [1.0], 0.0)
-        u = MultiField(g, soliton_profile(g, 1.0, 1.0)[None, :])
-        grad = action_gradient(u, p)
+        grad = gradient_raw(g, soliton_profile(g, 1.0, 1.0)[None, :], p)
         region = g.nodes <= 15.0  # exclude the Dirichlet clamp of the tail
-        assert np.abs(grad.values[0][region]).max() < 2e-5
+        assert np.abs(grad[0][region]).max() < 2e-5
 
     def test_rows_match_the_per_component_formula(self, grid):
         # row i: (-Laplace + lam_i) u_i - mu_i u_i^3 - u_i sum_{j != i} b_ij u_j^2
@@ -273,7 +275,7 @@ class TestGradient:
                       [1.3, 0.7, 0.0, 3.1], [2.2, 1.9, 3.1, 0.0]])
         p = ParameterSet.make([1.0, 1.7, 0.6, 3.2], [0.9, 1.1, 1.4, 0.8], b)
         vals = np.array([smooth_bump(grid, rng) for _ in range(4)])
-        got = action_gradient(MultiField(grid, vals), p).values
+        got = gradient_raw(grid, vals, p)
         for i in range(4):
             ref = neg_lap_plus_raw(grid, vals[i], float(p.lam[i]))
             ref -= float(p.mu[i]) * vals[i] ** 3
@@ -292,8 +294,8 @@ class TestGradient:
         for _ in range(5):
             u_vals = np.array([smooth_bump(g, rng) for _ in range(3)])
             v_vals = np.array([smooth_bump(g, rng) for _ in range(3)])
-            grad = action_gradient(MultiField(g, u_vals), p)
-            paired = sum(wdot(g, grad.values[i], v_vals[i]) for i in range(3))
+            grad = gradient_raw(g, u_vals, p)
+            paired = sum(wdot(g, grad[i], v_vals[i]) for i in range(3))
             fd = (
                 action(MultiField(g, u_vals + eps * v_vals), p).action
                 - action(MultiField(g, u_vals - eps * v_vals), p).action

@@ -8,7 +8,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 import cnls.solver
 from cnls.functional import action, action_parts_raw
-from cnls.grid import MultiField, RadialGrid, default_radius, l4_raw, operator_tridiag
+from cnls.grid import MultiField, RadialGrid, default_radius, operator_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
     BOUND_TOL,
@@ -34,6 +34,7 @@ from cnls.solver import (
     semitrivial_subsets,
     soliton_profile,
 )
+from oracles import l4_raw
 
 SINGLE_LEVEL = 4.0 / 3.0
 
