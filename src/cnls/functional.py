@@ -15,6 +15,13 @@ The gradient is represented in the weighted L^2 pairing of the grid, so
 directional derivatives of `action` equal <gradient_raw(grid, u, p), v>_w
 exactly (the pairing includes the quadrature weights); this keeps descent
 directions mesh independent.
+
+Every reduction and update of the descent's hot path goes through one pair
+of BLAS level-1 kernels, `dot` and `axpy`: scipy's `ddot` and `daxpy` on
+consecutive chunks of at most BLAS_CHUNK entries, summed in a fixed order.
+No chunk is long enough for OpenBLAS to hand it to its worker threads, so
+every sum has the same order, and the same bits, whatever the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -23,10 +30,66 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 from scipy.linalg.lapack import dgesv, dsyev
 
 from .grid import MultiField, neg_lap_plus_raw
 from .params import ParameterSet
+
+
+#: Most entries that `dot` and `axpy` hand to one BLAS call.  OpenBLAS
+#: splits a ddot or daxpy of more than 10^4 entries over its worker threads,
+#: which changes the order of the sum with the thread count and keeps the
+#: threads spinning between the other calls of an iteration: on a 2-core
+#: Xeon host, unpinned, a loop of numpy work with one 20000-entry ddot per
+#: pass ran at process CPU/wall 1.96, against 0.99 with 8192 entries.  Not
+#: an option: the chunk fixes the bits of every level.
+BLAS_CHUNK = 8192
+
+
+_F64 = np.dtype(np.float64)
+
+
+def _flat(a):
+    """``a`` as a 1-D view; raises unless it is a C-contiguous float64 array,
+    which BLAS would otherwise receive as a silent copy."""
+    # the identity test first: it is a quarter of the comparison's cost
+    if not a.flags.c_contiguous or (a.dtype is not _F64 and a.dtype != _F64):
+        raise ValueError("the BLAS kernels need C-contiguous float64 arrays")
+    return a.ravel()
+
+
+def dot(a, b):
+    """Sum of a * b over two C-contiguous float64 arrays of one size: one
+    unthreaded BLAS ddot per chunk of BLAS_CHUNK entries, the chunk sums
+    added in order."""
+    x, y = _flat(a), _flat(b)
+    size = x.size
+    if y.size != size:
+        raise ValueError(f"dot of arrays of sizes {size} and {y.size}")
+    if 0 < size <= BLAS_CHUNK:  # one chunk, the common case: no loop to set up
+        return ddot(x, y)
+    total = 0.0
+    for k in range(0, size, BLAS_CHUNK):
+        total += ddot(x, y, min(BLAS_CHUNK, size - k), k, 1, k, 1)
+    return total
+
+
+def axpy(alpha, x, y):
+    """y += alpha * x in place, for C-contiguous float64 arrays of one size
+    and a writeable y: one unthreaded BLAS daxpy per chunk of BLAS_CHUNK
+    entries.  (daxpy itself would write into a read-only y.)"""
+    xf, yf = _flat(x), _flat(y)
+    size = xf.size
+    if yf.size != size:
+        raise ValueError(f"axpy of arrays of sizes {size} and {yf.size}")
+    if not yf.flags.writeable:
+        raise ValueError("axpy needs a writeable y")
+    if 0 < size <= BLAS_CHUNK:  # as in `dot`
+        daxpy(xf, yf, size, alpha)
+        return
+    for k in range(0, size, BLAS_CHUNK):
+        daxpy(xf, yf, min(BLAS_CHUNK, size - k), alpha, k, 1, k, 1)
 
 
 @dataclass(frozen=True)
@@ -56,10 +119,10 @@ def action_parts_raw(grid, values, p: ParameterSet, work=None):
     The quadratic part of the action is sum(q) and the quartic part
     sum(M).  Scaling row i by s_i maps (q, M) to (D q, D M D) with D =
     diag(s^2), which is what the solver's amplitude step solves in.  Each
-    entry is one weighted dot product, so a zero row gives exact zeros and
-    a system with zero rows has the same parts as the system without them;
-    q_i is the test oracle `h1_sq_raw` (tests/oracles.py) of row i to the
-    last bit.  The squares are computed into work[0] and work[1] of a
+    entry is one chunked BLAS `dot` of two rows, so a zero row gives exact
+    zeros and a system with zero rows has the same parts as the system
+    without them; q_i is the test oracle `h1_sq_raw` (tests/oracles.py) of
+    row i.  The squares are computed into work[0] and work[1] of a
     workspace like `gradient_raw`'s, which is allocated when ``work`` is
     None.
     """
@@ -71,14 +134,13 @@ def action_parts_raw(grid, values, p: ParameterSet, work=None):
     du2 *= du2
     q = np.empty(d)
     for i in range(d):
-        stiff = float(np.dot(grid.conductance, du2[i]))
-        q[i] = stiff + float(p.lam[i]) * float(np.dot(grid.weights, v2[i]))
+        q[i] = dot(grid.conductance, du2[i]) + float(p.lam[i]) * dot(grid.weights, v2[i])
     wv2 = np.multiply(grid.weights, v2, out=work[1])
     M = np.empty((d, d))
     for i in range(d):
-        M[i, i] = float(p.mu[i]) * float(np.dot(wv2[i], v2[i]))
+        M[i, i] = float(p.mu[i]) * dot(wv2[i], v2[i])
         for j in range(i):
-            M[i, j] = M[j, i] = float(p.b[i, j]) * float(np.dot(wv2[i], v2[j]))
+            M[i, j] = M[j, i] = float(p.b[i, j]) * dot(wv2[i], v2[j])
     return q, M
 
 

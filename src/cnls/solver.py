@@ -29,9 +29,13 @@ descent ends at that roundoff floor.  Each trial is built in place in a
 buffer of the descent, and an accepted trial becomes the iterate without a
 copy.  `gradient_raw` and `action_parts_raw` compute into a workspace that
 the descent allocates once per multistart, so an iteration allocates no
-array of the grid's size.  Iterates are clamped nonnegative: ground states
-have signed components, and fixing the positive representative removes
-sign oscillation.
+array of the grid's size.  Every dot and update of an iteration (the pair
+curvature, the two-loop coefficients and updates, the decrement <rhs, H
+rhs>, the gradient norm and the action parts) is `functional.dot` or
+`functional.axpy`, unthreaded BLAS on chunks of fixed length, so a level
+has the same bits whatever the BLAS thread count.  Iterates are clamped
+nonnegative: ground states have signed components, and fixing the positive
+representative removes sign oscillation.
 
 After each accepted Armijo step the descent takes an exact step in the
 component amplitudes (`amplitude_step`).  With the action parts (q, M) of
@@ -75,6 +79,7 @@ positive definite, and each such slot proves that u is not the ground state.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -85,6 +90,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import (
     action_parts_raw,
+    axpy,
+    dot,
     gradient_raw,
     nehari_raw,
     simplex_qp_kernel,
@@ -229,17 +236,6 @@ def _random_start(p: ParameterSet, grid: RadialGrid, rng):
     return u
 
 
-def _dot(a, b):
-    """Sum of a * b over two (d, n) arrays by numpy's own loop; every dot of
-    the descent goes through it (the pair curvature, the two-loop
-    coefficients, the decrement <rhs, H rhs> and the gradient norm).  Above
-    about 10^4 entries a BLAS dot hands its work to the BLAS worker threads,
-    and waking them between the other calls of an iteration costs more than
-    the dot (`wide_system` ran at 3.8 points/s with BLAS dots here, 4.6
-    with this loop, on 2 cores with threaded OpenBLAS)."""
-    return float(np.einsum("ij,ij->", a, b))
-
-
 class _Pairs:
     """The L-BFGS memory of a descent: ring buffers of LBFGS_MEMORY + 1
     pairs (s, y) on the free nodes, overwritten in place.  A new pair is
@@ -249,7 +245,7 @@ class _Pairs:
     def __init__(self, d, n):
         shape = (LBFGS_MEMORY + 1, d, n)
         self.S, self.Y, self.rho = np.empty(shape), np.empty(shape), np.empty(shape[0])
-        self.work, self.scaled = np.empty((d, n)), np.empty((d, n))
+        self.work = np.empty((d, n))
         self.stored = deque()  # slots of the stored pairs, oldest first
 
     def clear(self):
@@ -261,15 +257,15 @@ class _Pairs:
         the spare slot and store it when s.y > CURVATURE_MIN |s| |y|,
         dropping the oldest pair beyond LBFGS_MEMORY.  s is written row by
         row: numpy copies the strided (d, n) views of a whole-array subtract
-        into iterator buffers."""
+        into iterator buffers.  The three dots are `functional.dot`."""
         slot = next(j for j in range(len(self.S)) if j not in self.stored)
         n = self.work.shape[1]
         s = self.S[slot]
         for i in range(len(s)):
             np.subtract(u[i, :n], u_old[i, :n], out=s[i])
         y = np.subtract(rhs, rhs_old, out=self.Y[slot])
-        sy = _dot(s, y)
-        if sy > CURVATURE_MIN * np.sqrt(_dot(s, s) * _dot(y, y)):
+        sy = dot(s, y)
+        if sy > CURVATURE_MIN * math.sqrt(dot(s, s) * dot(y, y)):
             self.rho[slot] = 1.0 / sy
             self.stored.append(slot)
             if len(self.stored) > LBFGS_MEMORY:
@@ -312,22 +308,24 @@ class _Descent:
         the stored pairs with the H^1 preconditioner (-Laplace +
         lambda_i)^{-1} as initial inverse Hessian: one dpttrs solve with the
         factors of the block-diagonal stack made when the descent was
-        built.  With no pair stored, H rhs is the H^1 gradient."""
+        built.  With no pair stored, H rhs is the H^1 gradient.  Every dot
+        and update of the recursion is `functional.dot` or `functional.axpy`
+        on the memory's buffers."""
         pairs = self._pairs
-        S, Y, rho, x, scaled = pairs.S, pairs.Y, pairs.rho, pairs.work, pairs.scaled
+        S, Y, rho, x = pairs.S, pairs.Y, pairs.rho, pairs.work
         np.copyto(x, rhs)
         coef = []
         for j in reversed(pairs.stored):
-            a = rho[j] * _dot(S[j], x)
-            x -= np.multiply(Y[j], a, out=scaled)
+            a = rho[j] * dot(S[j], x)
+            axpy(-a, Y[j], x)
             coef.append(a)
         x, info = dpttrs(*self._ldl, x.ravel(), overwrite_b=1)
         if info != 0:
             raise ValueError(f"dpttrs failed (info={info})")
         x = x.reshape(rhs.shape)
         for j, a in zip(pairs.stored, reversed(coef)):
-            x += np.multiply(S[j], a - rho[j] * _dot(Y[j], x), out=scaled)
-        return x, _dot(rhs, x)
+            axpy(a - rho[j] * dot(Y[j], x), S[j], x)
+        return x, dot(rhs, x)
 
     def _parts(self, values):
         """(q, M) of `action_parts_raw` at values and their Nehari
@@ -340,13 +338,16 @@ class _Descent:
         pass gives both, since grad vanishes at the Dirichlet node.  The
         first array is one of two buffers that the calls take in turn, so
         it survives the next call and is overwritten by the one after.  It
-        is filled row by row, as in `_Pairs.add`."""
+        is filled row by row, as in `_Pairs.add`, and the squared norm is
+        the sum of the row dots of rhs and grad, in row order."""
         self._rhs.reverse()
         rhs, n = self._rhs[0], self.grid.n
         weights = self.grid.weights[:n]
+        sq = 0.0
         for i in range(len(rhs)):
-            np.multiply(weights, grad[i, :n], out=rhs[i])
-        return rhs, float(np.sqrt(_dot(rhs, grad[:, :n])))
+            row = grad[i, :n]
+            sq += dot(np.multiply(weights, row, out=rhs[i]), row)
+        return rhs, math.sqrt(sq)
 
     @staticmethod
     def passes(gnorm, level, factor=1.0):
@@ -442,12 +443,12 @@ class _Descent:
 
     def finalize(self, values):
         """Zero sub-threshold components, reproject, and measure the result
-        in a new array.  The L^4 masses (the integral of u_i^4 per row) come
-        from one pass over the workspace."""
+        in a new array.  The L^4 masses (the integral of u_i^4 per row) are
+        one `functional.dot` per row of the workspace."""
         p, g = self.p, self.grid
         v4 = np.multiply(values, values, out=self._work[0])
         v4 *= v4
-        masses = np.array([float(np.dot(g.weights, v4[i])) for i in range(p.d)])
+        masses = np.array([dot(g.weights, v4[i]) for i in range(p.d)])
         top = masses.max()
         if top <= 0.0:
             raise ValueError("descent collapsed to the zero field")

@@ -3,7 +3,8 @@
 Each is the plainest form of one integral on a `cnls.grid.RadialGrid`,
 one profile at a time, with fresh temporaries: the package's kernels
 (`action_parts_raw`, `neg_lap_plus_raw`, `operator_tridiag`) must agree
-with them.  No package code calls them.
+with them.  `fsum_dot` is the reference of the BLAS kernel `dot`.  No
+package code calls them.
 """
 
 import math
@@ -18,6 +19,12 @@ def ball_volume(N, R):
     if N == 2:
         return math.pi * R**2
     return 4.0 / 3.0 * math.pi * R**3
+
+
+def fsum_dot(a, b):
+    """sum_j a_j b_j of two 1-D arrays: each product rounded once, their sum
+    exact and then rounded (math.fsum)."""
+    return math.fsum(x * y for x, y in zip(a.tolist(), b.tolist()))
 
 
 def wdot(grid, a, b):

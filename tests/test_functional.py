@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 import cnls.functional
+import cnls.solver
 from cnls import simplex_qp_max
-from cnls.functional import action, action_parts_raw, gradient_raw, nehari_raw
+from cnls.functional import (
+    BLAS_CHUNK,
+    action,
+    action_parts_raw,
+    axpy,
+    dot,
+    gradient_raw,
+    nehari_raw,
+)
 from cnls.grid import MultiField, RadialGrid, default_radius, neg_lap_plus_raw
 from cnls.params import ParameterSet
-from cnls.solver import ground_state, soliton_profile
-from oracles import h1_sq_raw, l4_raw, wdot
+from cnls.solver import _Descent, _random_start, ground_state, soliton_profile
+from oracles import fsum_dot, h1_sq_raw, l4_raw, wdot
 
 SINGLE_LEVEL = 4.0 / 3.0
 
@@ -369,6 +378,74 @@ class TestKernelWorkspace:
             assert np.shares_memory(grad, work)
             assert np.array_equal(grad, grad_ref)
             assert np.array_equal(vals, kept)
+
+
+class TestBlasKernels:
+    """`dot` and `axpy`: chunked BLAS level-1 calls on contiguous arrays."""
+
+    SIZES = [1, BLAS_CHUNK - 1, BLAS_CHUNK, BLAS_CHUNK + 1, 3 * BLAS_CHUNK + 5]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_dot_agrees_with_the_exact_sum(self, size):
+        a, b = np.random.default_rng(size).standard_normal((2, size))
+        bound = 4.0 * np.finfo(float).eps * fsum_dot(np.abs(a), np.abs(b))
+        assert abs(dot(a, b) - fsum_dot(a, b)) <= bound
+        # a (d, n) array is one flat sum, whatever its row length
+        assert abs(dot(a.reshape(1, -1), b.reshape(1, -1)) - fsum_dot(a, b)) <= bound
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_axpy_updates_in_place(self, size):
+        x, y = np.random.default_rng(size).standard_normal((2, size))
+        alpha, kept = 0.37, y.copy()
+        ref = kept + alpha * x
+        assert axpy(alpha, x, y) is None
+        # one rounding of a fused or a separate multiply-add per entry
+        bound = 2.0 * np.finfo(float).eps * (np.abs(kept) + np.abs(alpha * x))
+        assert np.all(np.abs(y - ref) <= bound)
+
+    def test_a_zero_row_gives_exact_zero(self):
+        b = np.random.default_rng(0).standard_normal((2, 2 * BLAS_CHUNK + 7))
+        assert dot(np.zeros_like(b[0]), b[1]) == 0.0
+        assert dot(np.zeros_like(b), b) == 0.0
+
+    def test_strided_or_read_only_arguments_raise(self):
+        a = np.ones((2, 11))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            dot(a[:, :10], np.ones((2, 10)))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            axpy(1.0, np.ones((2, 10)), a[:, :10])
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            dot(np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32))
+        with pytest.raises(ValueError, match="sizes 4 and 5"):
+            dot(np.ones(4), np.ones(5))
+        ro = np.zeros(4)
+        ro.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            axpy(1.0, np.ones(4), ro)
+        assert not ro.any()
+
+    def test_a_descent_hands_no_blas_call_more_than_a_chunk(self, monkeypatch):
+        # a d = 3 descent at n = 9000: (d, n) arrays of 27000 entries and
+        # rows of 9001, both past the length at which OpenBLAS threads
+        lengths = {"ddot": [], "daxpy": []}
+
+        def recording(fn, seen):
+            def call(x, y, *args):  # the BLAS signature: x, y, n, ...
+                seen.append(args[0] if args else x.size)
+                return fn(x, y, *args)
+            return call
+
+        for name, seen in lengths.items():
+            monkeypatch.setattr(cnls.functional, name,
+                                recording(getattr(cnls.functional, name), seen))
+        monkeypatch.setattr(cnls.solver, "MAX_ITERATIONS", 6)
+        g = RadialGrid.make(2, 20.0, 9000)
+        p = ParameterSet.make([1.0, 1.1, 1.2], [1.0, 1.0, 1.0], 3.0, N=2)
+        desc = _Descent(p, g)
+        desc.finalize(desc.run(_random_start(p, g, np.random.default_rng(0)))[0])
+        assert lengths["daxpy"], "no pair was stored, so the two-loop made no update"
+        for name, seen in lengths.items():
+            assert max(seen) == BLAS_CHUNK, name
 
 
 class TestSimplexQP:

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +174,24 @@ class TestClassify:
         assert semi["pruned"] == [] and sorted(semi["levels"]) == ["[0]", "[1]"]
         for key, bound in semi["lower_bounds"].items():
             assert bound == pytest.approx(semi["levels"][key], rel=1e-14)
+
+    def test_the_verdict_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS threads a dot of more than 10^4 entries, which reorders
+        # its sum; at grid_n = 10240 every row is past that length
+        script = ("import json; from cnls.params import ParameterSet; "
+                  "from cnls.phase import PhaseOptions, classify; "
+                  "p = ParameterSet.make([1.0, 1.2], [1.0, 1.1], 2.0, N=2); "
+                  "v = classify(p, PhaseOptions(grid_n=10240)); "
+                  "print(json.dumps(v.to_json_dict(), sort_keys=True))")
+        src = os.path.dirname(os.path.dirname(phase.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [subprocess.run([sys.executable, "-c", script], check=True,
+                                  capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": path,
+                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert json.loads(outputs[0])["verdict"] == FULLY_NONTRIVIAL
+        assert outputs[0] == outputs[1]
 
     def test_an_unconverged_single_is_an_unconverged_solve(self, monkeypatch):
         # no support's result is the single (2,), but the search rests on it

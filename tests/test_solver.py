@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 import cnls.solver
-from cnls.functional import action, action_parts_raw
+from cnls.functional import action, action_parts_raw, dot
 from cnls.grid import MultiField, RadialGrid, default_radius, operator_tridiag
 from cnls.params import ParameterSet
 from cnls.solver import (
@@ -23,7 +23,6 @@ from cnls.solver import (
     _Descent,
     _Pairs,
     _better,
-    _dot,
     _multistart,
     _random_start,
     amplitude_step,
@@ -334,7 +333,7 @@ class TestPairs:
         s, y = u[:, :self.N] - u_old[:, :self.N], rhs - rhs_old
         assert np.array_equal(pairs.S[slot], s)
         assert np.array_equal(pairs.Y[slot], y)
-        assert pairs.rho[slot] == 1.0 / _dot(s, y)
+        assert pairs.rho[slot] == 1.0 / dot(s, y)
 
     def test_a_pair_without_curvature_leaves_the_memory_untouched(self):
         pairs = _Pairs(self.D, self.N)
@@ -345,7 +344,7 @@ class TestPairs:
         S, Y, rho = pairs.S.copy(), pairs.Y.copy(), pairs.rho.copy()
         u, u_old, rhs, rhs_old = self.points(rng, -2.0)
         s, y = u[:, :self.N] - u_old[:, :self.N], rhs - rhs_old
-        assert not _dot(s, y) > CURVATURE_MIN * np.sqrt(_dot(s, s) * _dot(y, y))
+        assert not dot(s, y) > CURVATURE_MIN * np.sqrt(dot(s, s) * dot(y, y))
         pairs.add(u, u_old, rhs, rhs_old)
         assert list(pairs.stored) == stored
         assert np.array_equal(pairs.S[stored], S[stored])
